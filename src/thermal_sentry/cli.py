@@ -27,7 +27,7 @@ from .evaluate import (
     report_to_dict,
     run_eval,
 )
-from .frame import PgmError, QuadrantId, ThermalFrame, load_pgm, replay_dir
+from .frame import QUADRANTS, PgmError, ThermalFrame, load_pgm, replay_dir
 from .hybrid import CombineMode, hybrid_step
 from .motion import MotionConfig, motion_init, motion_step
 from .roi import RoiConfig, roi_analyze
@@ -52,6 +52,10 @@ _CONFIG_KEYS = {
 }
 
 
+# (quadrant, record key) pairs, in record order
+_QUADRANT_KEYS = tuple((q, q.name) for q in QUADRANTS)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; 2 is reserved for data errors here
     def error(self, message):
@@ -70,6 +74,9 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(
         prog="thermal-sentry",
         description="Human-presence detection for low-resolution thermal imagery.",
+        # main() reads --config before parsing; an abbreviation it cannot
+        # see must not be accepted and then ignored
+        allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
@@ -83,7 +90,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
                        help="per-pixel movement threshold (default 20)")
     group.add_argument("--active-fraction", type=float, default=0.05, metavar="FRAC",
                        help="fraction of active pixels that means movement (default 0.05)")
-    group.add_argument("--max-hold-frames", type=int, default=None, metavar="N",
+    group.add_argument("--max-hold-frames", type=_positive_int, default=None, metavar="N",
                        help="force a background refresh after N movement frames")
     group.add_argument("--roi-ratio", type=float, default=1.20, metavar="RATIO",
                        help="quadrant mean must exceed RATIO x frame mean (default 1.20)")
@@ -201,23 +208,23 @@ def cmd_detect(args) -> int:
                 "movement": motion.movement if motion else None,
                 "active_count": motion.active_count if motion else None,
                 "quadrant_means": {
-                    q.name: round(roi.quadrant_means[q], 3) for q in QuadrantId
+                    key: round(roi.quadrant_means[q], 3) for q, key in _QUADRANT_KEYS
                 },
-                "flags": {q.name: roi.flags[q] for q in QuadrantId},
+                "flags": {key: roi.flags[q] for q, key in _QUADRANT_KEYS},
                 "state": safety.label,
                 "elapsed_us": round(detection.elapsed_us, 3),
             }
-            print(json.dumps(record), file=out)
+            out.write(json.dumps(record) + "\n")
             for event in events:
                 # SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums;
                 # compare against None explicitly
-                print(json.dumps({
+                out.write(json.dumps({
                     "frame": event.frame_index,
                     "event": event.kind.value,
                     "quadrant": event.quadrant.name if event.quadrant is not None else None,
                     "from_state": event.from_state.label if event.from_state is not None else None,
                     "to_state": event.to_state.label if event.to_state is not None else None,
-                }), file=out)
+                }) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
@@ -322,13 +329,17 @@ def cmd_bench(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
 
+    # the config file supplies the parser's defaults, so it is read first;
+    # like argparse, take the last --config FILE or --config=FILE
     config_path = os.environ.get(CONFIG_ENV)
-    if "--config" in argv:
-        at = argv.index("--config")
-        if at + 1 >= len(argv):
-            print("thermal-sentry: --config requires a file", file=sys.stderr)
-            return EXIT_USAGE
-        config_path = argv[at + 1]
+    for at, arg in enumerate(argv):
+        if arg == "--config":
+            if at + 1 >= len(argv):
+                print("thermal-sentry: --config requires a file", file=sys.stderr)
+                return EXIT_USAGE
+            config_path = argv[at + 1]
+        elif arg.startswith("--config="):
+            config_path = arg.partition("=")[2]
     defaults = {}
     if config_path:
         try:

@@ -7,14 +7,15 @@ exact means, and the fixed 2x2 quadrant split.
 
 PGM support covers P2 (ASCII) and P5 (binary) with maxval <= 65535. Binary
 16-bit payloads are big-endian, most significant byte first, per the PGM
-convention. Files are always written as 16-bit P5 with maxval 65535; 8-bit
-inputs are widened on load without rescaling.
+convention. Header fields and P2 samples are ASCII decimal digits only, as
+Netpbm specifies. Files are always written as 16-bit P5 with maxval 65535;
+8-bit inputs are widened on load without rescaling.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -35,6 +36,11 @@ class QuadrantId(IntEnum):
     Q1 = 1  # top-right
     Q2 = 2  # bottom-left
     Q3 = 3  # bottom-right
+
+
+# iterating a tuple is far cheaper than iterating the enum class, which the
+# per-frame code does several times
+QUADRANTS = tuple(QuadrantId)
 
 
 class QuadRect(NamedTuple):
@@ -83,6 +89,24 @@ class ThermalFrame:
         object.__setattr__(self, "pixels", arr)
 
 
+def _own_frame(
+    pixels: np.ndarray, frame_index: int = 0, timestamp_ms: float | None = None
+) -> ThermalFrame:
+    """Frame around a (height, width) uint16 array this module has just
+    allocated and shares with no one: its shape and dtype are known valid, so
+    it is made read-only in place instead of being validated and copied."""
+    pixels.setflags(write=False)
+    frame = object.__new__(ThermalFrame)
+    frame.__dict__.update(
+        width=pixels.shape[1],
+        height=pixels.shape[0],
+        pixels=pixels,
+        frame_index=frame_index,
+        timestamp_ms=timestamp_ms,
+    )
+    return frame
+
+
 @dataclass(frozen=True)
 class FrameStats:
     mean: float
@@ -104,10 +128,10 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
         raise ValueError(
             f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    diff = np.abs(a.pixels.astype(np.int32) - b.pixels.astype(np.int32))
-    return ThermalFrame(
-        a.width, a.height, diff.astype(np.uint16), a.frame_index, a.timestamp_ms
-    )
+    # max - min never wraps, so the difference is exact without widening
+    diff = np.maximum(a.pixels, b.pixels)
+    diff -= np.minimum(a.pixels, b.pixels)
+    return _own_frame(diff, a.frame_index, a.timestamp_ms)
 
 
 def frame_mean(frame: ThermalFrame) -> float:
@@ -138,16 +162,9 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     8-bit files (maxval < 256) are widened to 16-bit storage without
     rescaling: a stored 255 stays 255.
     """
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:2] not in (b"P2", b"P5"):
-        raise PgmError(f"{path}: not a P2/P5 PGM file")
-    tokens, pos = _header_tokens(path, data)
-    magic = tokens[0]
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise PgmError(f"{path}: malformed header") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    magic, width, height, maxval, pos = _parse_header(path, data)
     if not 0 < maxval <= MAX_COUNT:
         raise PgmError(f"{path}: unsupported maxval {maxval}")
     if width < 2 or height < 2 or width % 2 or height % 2:
@@ -158,28 +175,32 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     if magic == b"P5":
         if pos >= len(data) or not data[pos : pos + 1].isspace():
             raise PgmError(f"{path}: missing whitespace after maxval")
-        payload = data[pos + 1 :]
         itemsize = 2 if maxval > 255 else 1
-        if len(payload) != count * itemsize:
+        if len(data) - pos - 1 != count * itemsize:
             raise PgmError(
-                f"{path}: expected {count * itemsize} payload bytes, got {len(payload)}"
+                f"{path}: expected {count * itemsize} payload bytes, "
+                f"got {len(data) - pos - 1}"
             )
-        values = np.frombuffer(payload, dtype=">u2" if itemsize == 2 else np.uint8)
-        values = values.astype(np.uint16)
+        values = np.frombuffer(
+            data, dtype=">u2" if itemsize == 2 else np.uint8, offset=pos + 1
+        ).astype(np.uint16)
     else:
         text = re.sub(rb"#[^\n]*", b"", data[pos:])
+        if not _P2_SAMPLES.fullmatch(text):
+            raise PgmError(f"{path}: non-numeric sample in P2 payload")
         try:
             parsed = [int(t) for t in text.split()]
-        except ValueError:
-            raise PgmError(f"{path}: non-numeric sample in P2 payload") from None
+        except ValueError:  # more digits than int() converts
+            raise PgmError(f"{path}: sample out of range") from None
         if len(parsed) != count:
             raise PgmError(f"{path}: expected {count} samples, got {len(parsed)}")
-        if parsed and (min(parsed) < 0 or max(parsed) > MAX_COUNT):
+        if max(parsed) > MAX_COUNT:
             raise PgmError(f"{path}: sample out of range")
         values = np.asarray(parsed, dtype=np.uint16)
-    if values.size and int(values.max()) > maxval:
+    # a full-range 16-bit maxval admits every stored value
+    if maxval < MAX_COUNT and int(values.max()) > maxval:
         raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
-    return ThermalFrame(width, height, values)
+    return _own_frame(values.reshape(height, width))
 
 
 def write_pgm(frame: ThermalFrame, path: str | Path) -> None:
@@ -192,10 +213,15 @@ def replay_dir(path: str | Path, pattern: str = "*.pgm") -> Iterator[ThermalFram
     """Yield frames from a directory in lexicographic filename order.
 
     Frame indices are (re)assigned sequentially from 0, which makes the file
-    order the stream order. A dimension change mid-stream is an error.
+    order the stream order. A missing directory and a dimension change
+    mid-stream are errors.
     """
+    directory = Path(path)
+    if not directory.is_dir():
+        raise NotADirectoryError(f"{directory}: no such directory")
     dims: tuple[int, int] | None = None
-    for index, file in enumerate(sorted(Path(path).glob(pattern))):
+    files = sorted(directory.glob(pattern), key=lambda file: file.name)
+    for index, file in enumerate(files):
         frame = load_pgm(file)
         if dims is None:
             dims = (frame.width, frame.height)
@@ -204,28 +230,42 @@ def replay_dir(path: str | Path, pattern: str = "*.pgm") -> Iterator[ThermalFram
                 f"{file}: dimension change mid-stream, "
                 f"{frame.width}x{frame.height} after {dims[0]}x{dims[1]}"
             )
-        yield replace(frame, frame_index=index)
+        # the frame is fresh from load_pgm and not yet shared
+        object.__setattr__(frame, "frame_index", index)
+        yield frame
 
 
-def _header_tokens(path: Path, data: bytes) -> tuple[list[bytes], int]:
-    """First four whitespace-separated header tokens, skipping # comments.
+# Header grammar: tokens separated by whitespace and `#` comments (which run
+# to the end of their line). A comment must consume its whole line, so every
+# separator splits into whitespace and comments one way only and matching
+# stays linear on hostile input. A token ends at whitespace, '#' or the end
+# of the data.
+_SEPARATOR = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*")
+_MAGIC = re.compile(rb"P[25](?![^\s#])")
+_NUMBER = re.compile(rb"\d+(?![^\s#])")  # bytes patterns: \d is ASCII 0-9 only
+_P2_SAMPLES = re.compile(rb"[\d\s]*")
 
-    Returns the tokens and the byte offset just past the last one.
+
+def _parse_header(path: str | Path, data: bytes) -> tuple[bytes, int, int, int, int]:
+    """Magic, width, height and maxval, plus the byte offset just past maxval.
+
+    The magic must be exactly `P2` or `P5` and the numbers ASCII decimal
+    digits; `+255`, `1_2` and `P22` are rejected.
     """
-    tokens: list[bytes] = []
-    i, n = 0, len(data)
-    while len(tokens) < 4:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] != ord("\n"):
-                i += 1
-            continue
-        if i >= n:
-            raise PgmError(f"{path}: truncated header")
-        j = i
-        while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+    if not _MAGIC.match(data):
+        raise PgmError(f"{path}: not a P2/P5 PGM file")
+    pos = 2
+    numbers = []
+    for _ in range(3):
+        pos = _SEPARATOR.match(data, pos).end()
+        token = _NUMBER.match(data, pos)
+        if token is None:
+            fault = "truncated" if pos == len(data) else "malformed"
+            raise PgmError(f"{path}: {fault} header")
+        try:
+            numbers.append(int(token[0]))
+        except ValueError:  # more digits than int() converts
+            raise PgmError(f"{path}: malformed header") from None
+        pos = token.end()
+    width, height, maxval = numbers
+    return data[:2], width, height, maxval, pos

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,12 +79,15 @@ def motion_init(config: MotionConfig | None = None) -> MotionState:
     return MotionState(config=config or MotionConfig())
 
 
+@lru_cache(maxsize=64, typed=True)
 def required_active_count(fraction: float | Fraction, pixel_count: int) -> int:
     """Smallest active-pixel count satisfying "at least `fraction` of all".
 
     The ceiling is taken over the decimal value the caller wrote, not over
     its binary float image: 0.07 * 100 must require 7 pixels, not
-    ceil(7.000000000000001) = 8.
+    ceil(7.000000000000001) = 8. Cached, because a stream asks for the same
+    (fraction, pixel count) on every frame and the exact arithmetic costs
+    more than the rest of the threshold test.
     """
     if not isinstance(fraction, Fraction):
         fraction = Fraction(str(fraction))

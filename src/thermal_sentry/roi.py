@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .frame import QuadrantId, ThermalFrame, split_quadrants
+from .frame import QUADRANTS, QuadrantId, ThermalFrame
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,17 @@ class RoiResult:
     any: bool
 
 
+_DEFAULT_CONFIG = RoiConfig()
+
+
+@lru_cache(maxsize=64, typed=True)
+def _exact_ratio(ratio: float) -> tuple[int, int]:
+    """Numerator and denominator of the decimal the caller wrote (1.2 is
+    6/5), computed once per ratio rather than once per frame."""
+    exact = Fraction(str(ratio))
+    return exact.numerator, exact.denominator
+
+
 def roi_analyze(frame: ThermalFrame, config: RoiConfig | None = None) -> RoiResult:
     """Flag quadrants whose mean stands out against the whole frame.
 
@@ -49,26 +61,32 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig | None = None) -> RoiResu
     than 20% above the mean" is strict at the decimal boundary: with
     quadrant pixel count n and frame sum F, mean_q > ratio * mean_frame
     reduces to 4 * sum_q > ratio * F, and the ratio is taken as the decimal
-    the caller wrote (1.2 is exactly 6/5, not its binary float image).
+    the caller wrote (1.2 is exactly 6/5, not its binary float image), so
+    with ratio = num/den the test is 4 * den * sum_q > num * F.
     """
-    cfg = config or RoiConfig()
-    rects = split_quadrants(frame)
-    quad_count = (frame.width // 2) * (frame.height // 2)
+    cfg = config or _DEFAULT_CONFIG
+    num, den = _exact_ratio(cfg.ratio)
+    hh, hw = frame.height // 2, frame.width // 2
+    quad_count = hh * hw
 
-    sums: dict[QuadrantId, int] = {}
-    for qid, r in rects.items():
-        view = frame.pixels[r.y : r.y + r.height, r.x : r.x + r.width]
-        sums[qid] = int(view.sum(dtype=np.int64))
-    total = sum(sums.values())
+    # axes (quadrant row, row in quadrant, quadrant column, column in
+    # quadrant): one pass gives all four sums, in QuadrantId order
+    sums = (
+        frame.pixels.reshape(2, hh, 2, hw)
+        .sum(axis=(1, 3), dtype=np.int64)
+        .ravel()
+        .tolist()
+    )
+    total = sum(sums)
 
-    ratio = Fraction(str(cfg.ratio))
+    bar = num * total
     floor = cfg.min_quadrant_mean * quad_count
     flags = {
-        qid: (4 * s > ratio * total) and (s >= floor) for qid, s in sums.items()
+        qid: 4 * den * s > bar and s >= floor for qid, s in zip(QUADRANTS, sums)
     }
     return RoiResult(
         frame_mean=total / (4 * quad_count),
-        quadrant_means={qid: s / quad_count for qid, s in sums.items()},
+        quadrant_means={qid: s / quad_count for qid, s in zip(QUADRANTS, sums)},
         flags=flags,
         any=any(flags.values()),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Mapping
 
-from .frame import QuadrantId
+from .frame import QUADRANTS, QuadrantId
 from .hybrid import Detection
 
 
@@ -108,7 +108,7 @@ def zone_update(
     index = detection.frame_index
     events: list[ZoneEvent] = []
 
-    for q in QuadrantId:
+    for q in QUADRANTS:
         if roi.flags[q]:
             state.flag_streak[q] += 1
             state.clear_streak[q] = 0

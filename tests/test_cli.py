@@ -175,6 +175,19 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         assert code == 2
         assert "pgm" in err.lower()
 
+    @pytest.mark.parametrize("command", ["detect", "bench"])
+    def test_missing_input_dir_is_data_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent"
+        code, out, err = run_cli(capsys, command, "--input-dir", str(missing))
+        assert code == 2
+        assert out == ""
+        assert "no such directory" in err
+
+    def test_zero_max_hold_frames_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--max-hold-frames", "0", "--input-dir", "x"])
+        assert exc.value.code == 1
+
     def test_mid_stream_dimension_change_aborts(self, tmp_path, capsys):
         import numpy as np
         from thermal_sentry import ThermalFrame, write_pgm
@@ -336,3 +349,18 @@ class TestConfigFile:
         config.write_text("volume=11\n")
         code, _, err = run_cli(capsys, "--config", str(config), "bench")
         assert code == 2
+
+    def test_bad_config_named_with_equals_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "sentry.cfg"
+        config.write_text("volume=11\n")
+        code, _, err = run_cli(capsys, f"--config={config}", "bench", "--iterations", "1")
+        assert code == 2
+        assert "volume" in err
+
+    def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys):
+        # the file is read before parsing, so only the full flag is accepted
+        config = tmp_path / "sentry.cfg"
+        config.write_text("volume=11\n")
+        with pytest.raises(SystemExit) as exc:
+            main([f"--conf={config}", "bench", "--iterations", "1"])
+        assert exc.value.code == 1

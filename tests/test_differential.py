@@ -1,0 +1,328 @@
+"""Differential tests: the per-frame hot path against the first release's
+implementation of it, kept here as the reference.
+
+The reference computes the same exact arithmetic the slow way: thresholds
+re-derived from `Fraction(str(...))` on every call, four quadrant slice
+sums, an int32-widened absolute difference and the byte-at-a-time PGM
+header tokenizer. Every result must be identical, boundaries included.
+"""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermal_sentry import (
+    MotionConfig,
+    MotionResult,
+    QuadrantId,
+    RoiConfig,
+    RoiResult,
+    ThermalFrame,
+    motion_init,
+    motion_step,
+    roi_analyze,
+    split_quadrants,
+)
+from thermal_sentry.frame import _parse_header
+
+# ---------------------------------------------------------------- reference
+
+
+def reference_roi_analyze(frame, config=None):
+    cfg = config or RoiConfig()
+    rects = split_quadrants(frame)
+    quad_count = (frame.width // 2) * (frame.height // 2)
+
+    sums = {}
+    for qid, r in rects.items():
+        view = frame.pixels[r.y : r.y + r.height, r.x : r.x + r.width]
+        sums[qid] = int(view.sum(dtype=np.int64))
+    total = sum(sums.values())
+
+    ratio = Fraction(str(cfg.ratio))
+    floor = cfg.min_quadrant_mean * quad_count
+    flags = {
+        qid: (4 * s > ratio * total) and (s >= floor) for qid, s in sums.items()
+    }
+    return RoiResult(
+        frame_mean=total / (4 * quad_count),
+        quadrant_means={qid: s / quad_count for qid, s in sums.items()},
+        flags=flags,
+        any=any(flags.values()),
+    )
+
+
+def reference_required_active_count(fraction, pixel_count):
+    if not isinstance(fraction, Fraction):
+        fraction = Fraction(str(fraction))
+    return math.ceil(fraction * pixel_count)
+
+
+@dataclass
+class ReferenceMotionState:
+    config: MotionConfig
+    background: ThermalFrame | None = None
+    frames_since_update: int = 0
+
+
+def reference_motion_step(state, frame):
+    cfg = state.config
+    required = reference_required_active_count(
+        cfg.active_fraction, frame.width * frame.height
+    )
+    if state.background is None:
+        state.background = frame
+        state.frames_since_update = 0
+        return MotionResult(
+            movement=False,
+            active_count=0,
+            required_count=required,
+            background_updated=True,
+            indeterminate=True,
+        )
+    diff = np.abs(
+        frame.pixels.astype(np.int32) - state.background.pixels.astype(np.int32)
+    )
+    active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
+    movement = active >= required
+
+    forced = False
+    if not movement:
+        state.background = frame
+        state.frames_since_update = 0
+    else:
+        state.frames_since_update += 1
+        if (
+            cfg.max_hold_frames is not None
+            and state.frames_since_update > cfg.max_hold_frames
+        ):
+            state.background = frame
+            state.frames_since_update = 0
+            forced = True
+    return MotionResult(
+        movement=movement,
+        active_count=active,
+        required_count=required,
+        background_updated=not movement or forced,
+        indeterminate=False,
+        forced_refresh=forced,
+    )
+
+
+def reference_header_tokens(data):
+    """First four whitespace-separated header tokens, skipping # comments,
+    and the byte offset just past the last one."""
+    tokens = []
+    i, n = 0, len(data)
+    while len(tokens) < 4:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] != ord("\n"):
+                i += 1
+            continue
+        if i >= n:
+            raise ValueError("truncated header")
+        j = i
+        while j < n and not data[j : j + 1].isspace() and data[j] != ord("#"):
+            j += 1
+        tokens.append(data[i:j])
+        i = j
+    return tokens, i
+
+
+# ---------------------------------------------------------------- helpers
+
+even = st.integers(1, 8).map(lambda n: 2 * n)
+# decimals as a person writes them (0.05, 1.2) and arbitrary floats
+fractions = st.one_of(
+    st.integers(1, 1000).map(lambda k: k / 1000),
+    st.floats(min_value=1e-9, max_value=1.0, exclude_min=True),
+)
+ratios = st.one_of(
+    st.integers(100, 400).map(lambda k: k / 100),
+    st.floats(min_value=1.0, max_value=8.0),
+)
+
+
+def quadrants_to_frame(blocks, frame_index=0):
+    """Frame from four (h, w) quadrant blocks in QuadrantId order."""
+    top = np.hstack([blocks[0], blocks[1]])
+    bottom = np.hstack([blocks[2], blocks[3]])
+    pixels = np.vstack([top, bottom]).astype(np.uint16)
+    return ThermalFrame(pixels.shape[1], pixels.shape[0], pixels, frame_index)
+
+
+def block_with_sum(shape, total, rng):
+    """Random uint16 block of the given shape whose pixels sum to `total`."""
+    n = shape[0] * shape[1]
+    assert 0 <= total <= n * 65535
+    values = np.full(n, total // n, dtype=np.int64)
+    values[: total % n] += 1
+    # move counts between random pixel pairs; the sum is unchanged
+    for _ in range(n):
+        i, j = rng.integers(0, n, size=2)
+        step = int(rng.integers(0, 1 + min(values[i], 65535 - values[j])))
+        values[i] -= step
+        values[j] += step
+    rng.shuffle(values)
+    return values.reshape(shape)
+
+
+@st.composite
+def frame_streams(draw):
+    """A short stream of same-sized frames: a random start, then each frame a
+    random perturbation of the last, so diffs land on both sides of any
+    threshold."""
+    width, height = draw(even), draw(even)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    length = draw(st.integers(1, 8))
+    spread = draw(st.sampled_from([3, 40, 65535]))
+    high = draw(st.sampled_from([2, 100, 65536]))
+    base = rng.integers(0, high, size=(height, width), dtype=np.int64)
+    # one quadrant warmer than the rest, so that flags are raised too
+    qy, qx = rng.integers(0, 2, size=2)
+    base[qy * height // 2 :, qx * width // 2 :][: height // 2, : width // 2] += (
+        rng.integers(0, high)
+    )
+    frames = []
+    for t in range(length):
+        step = rng.integers(-spread, spread + 1, size=(height, width))
+        mask = rng.random((height, width)) < rng.random()
+        base = np.clip(base + step * mask, 0, 65535)
+        frames.append(ThermalFrame(width, height, base.astype(np.uint16), t))
+    return frames
+
+
+# ---------------------------------------------------------------- ROI
+
+
+class TestRoiAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=frame_streams(),
+        ratio=ratios,
+        floor=st.integers(0, 70000),
+    )
+    def test_random_frames_and_configs(self, frames, ratio, floor):
+        cfg = RoiConfig(ratio=ratio, min_quadrant_mean=floor)
+        for frame in frames:
+            assert roi_analyze(frame, cfg) == reference_roi_analyze(frame, cfg)
+            assert roi_analyze(frame) == reference_roi_analyze(frame)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        hh=st.integers(1, 12),
+        hw=st.integers(1, 12),
+        k=st.integers(1, 10**6),
+        shares=st.tuples(*[st.integers(0, 100)] * 3),
+        nudge=st.sampled_from([-1, 0, 1]),
+        hot=st.sampled_from(list(QuadrantId)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ratio_equality_boundary(self, hh, hw, k, shares, nudge, hot, seed):
+        # With sum_q = 3k + nudge and the other three summing to 7k, F is
+        # 10k + nudge and 4 * sum_q > 1.2 * F reduces to nudge > 0: nudge 0
+        # is exact equality, which the strict rule must not flag.
+        n = hh * hw
+        k = 1 + k % (n * 65535 // 7)  # every quadrant sum fits in n pixels
+        weight = sum(shares) or 1
+        others = [7 * k * s // weight for s in shares]
+        others[0] += 7 * k - sum(others)
+        sums = others[:hot] + [3 * k + nudge] + others[hot:]
+        rng = np.random.default_rng(seed)
+        frame = quadrants_to_frame([block_with_sum((hh, hw), s, rng) for s in sums])
+        got = roi_analyze(frame)
+        assert got == reference_roi_analyze(frame)
+        if nudge == 0:
+            assert 4 * sums[hot] == Fraction("1.2") * sum(sums)
+        assert got.flags[hot] is (nudge > 0 and sums[hot] >= n)
+
+
+# ---------------------------------------------------------------- motion
+
+
+class TestMotionAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=frame_streams(),
+        delta=st.integers(1, 70000),
+        fraction=fractions,
+        hold=st.one_of(st.none(), st.integers(1, 4)),
+    )
+    def test_random_streams_and_configs(self, frames, delta, fraction, hold):
+        cfg = MotionConfig(
+            active_pixel_delta=delta, active_fraction=fraction, max_hold_frames=hold
+        )
+        state, ref = motion_init(cfg), ReferenceMotionState(cfg)
+        for frame in frames:
+            assert motion_step(state, frame) == reference_motion_step(ref, frame)
+            assert state.background is ref.background
+            assert state.frames_since_update == ref.frames_since_update
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        count=st.sampled_from([958, 959, 960, 961]),
+        base=st.integers(2100, 63000),
+        delta=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_960_vs_959_active_pixels_at_160x120(self, count, base, delta, seed):
+        # exactly `count` pixels differ from the background by delta to
+        # delta + 2, up or down; every other pixel by less than delta
+        rng = np.random.default_rng(seed)
+        background = np.full(120 * 160, base, dtype=np.int64)
+        frame = background + rng.integers(0, delta, size=background.size)
+        hit = rng.permutation(background.size)[:count]
+        sign = rng.choice([-1, 1], size=count)
+        frame[hit] = base + sign * (delta + rng.integers(0, 3, size=count))
+        stream = [
+            ThermalFrame(160, 120, background.reshape(120, 160), 0),
+            ThermalFrame(160, 120, frame.reshape(120, 160), 1),
+        ]
+        cfg = MotionConfig(active_pixel_delta=delta)
+        state, ref = motion_init(cfg), ReferenceMotionState(cfg)
+        for f in stream:
+            got = motion_step(state, f)
+            assert got == reference_motion_step(ref, f)
+        assert got.required_count == 960
+        assert got.active_count == count
+        assert got.movement is (count >= 960)
+
+
+# ---------------------------------------------------------------- PGM header
+
+whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+comments = st.binary(max_size=12).map(lambda b: b"#" + b.replace(b"\n", b"") + b"\n")
+separators = st.lists(st.one_of(whitespace, comments), min_size=1, max_size=4).map(
+    b"".join
+)
+# leading zeros included: "007" is a valid token for 7
+digit_tokens = st.tuples(st.integers(0, 2), st.integers(0, 10**7)).map(
+    lambda z: b"0" * z[0] + str(z[1]).encode()
+)
+
+
+class TestHeaderAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P2", b"P5"]),
+        seps=st.tuples(separators, separators, separators),
+        numbers=st.tuples(digit_tokens, digit_tokens, digit_tokens),
+        tail=st.one_of(
+            st.just(b""),
+            st.tuples(st.one_of(whitespace, st.just(b"#")), st.binary(max_size=16)).map(
+                b"".join
+            ),
+        ),
+    )
+    def test_digit_only_headers_give_the_same_tokens(self, magic, seps, numbers, tail):
+        data = magic + b"".join(s + n for s, n in zip(seps, numbers)) + tail
+        tokens, pos = reference_header_tokens(data)
+        expected = (tokens[0], *(int(t) for t in tokens[1:]), pos)
+        assert _parse_header("h.pgm", data) == expected

@@ -69,6 +69,23 @@ class TestThermalFrame:
         with pytest.raises(ValueError):
             frame.pixels[0, 0] = 1
 
+    def test_caller_array_is_copied(self):
+        source = np.zeros((2, 2), dtype=np.uint16)
+        frame = ThermalFrame(2, 2, source)
+        source[0, 0] = 9
+        assert frame.pixels[0, 0] == 0
+
+    def test_decoded_and_diff_frames_are_read_only_uint16_grids(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        write_pgm(make_frame([[1, 2, 3, 4], [5, 6, 7, 8]]), path)
+        loaded = load_pgm(path)
+        diff = abs_diff(loaded, make_frame([[0, 0, 9, 9], [0, 0, 0, 0]]))
+        for frame in (loaded, diff):
+            assert frame.pixels.dtype == np.uint16
+            assert frame.pixels.shape == (frame.height, frame.width) == (2, 4)
+            with pytest.raises(ValueError):
+                frame.pixels[0, 0] = 1
+
 
 class TestPgm:
     def test_ascii_uniform_round_trip(self, tmp_path):
@@ -163,6 +180,52 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(7))
         with pytest.raises(PgmError, match="payload"):
             load_pgm(path)
+
+    # Netpbm numbers are ASCII decimal digits, and the magic is a whole token
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n2 2\n+255\n1 2 3 4", "malformed header"),
+            (b"P2\n2 2\n255\n1_2 2 3 4", "non-numeric sample"),
+            (b"P22\n2 2\n255\n1 2 3 4", "P2/P5"),
+        ],
+        ids=["plus-sign-maxval", "underscore-sample", "magic-P22"],
+    )
+    def test_rejects_non_digit_numbers_and_long_magic(self, tmp_path, data, message):
+        path = tmp_path / "n.pgm"
+        path.write_bytes(data)
+        with pytest.raises(PgmError, match=message):
+            load_pgm(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P2", b"P5"]),
+        body=st.one_of(
+            st.binary(max_size=64),
+            # header-like bytes reach the payload checks more often
+            st.lists(
+                st.sampled_from(
+                    [b" ", b"\n", b"#", b"+", b"-", b"_", b"x", b"\xff", b"0", b"2",
+                     b"4", b"255", b"65535", b"70000", b"\x00\x01"]
+                ),
+                max_size=24,
+            ).map(b"".join),
+        ),
+    )
+    def test_arbitrary_bytes_give_a_frame_or_pgm_error(
+        self, magic, body, tmp_path_factory
+    ):
+        path = tmp_path_factory.mktemp("fuzz") / "f.pgm"
+        path.write_bytes(magic + body)
+        try:
+            frame = load_pgm(path)
+        except PgmError:
+            return
+        assert frame.width >= 2 and frame.height >= 2
+        assert frame.width % 2 == 0 and frame.height % 2 == 0
+        assert frame.pixels.dtype == np.uint16
+        assert frame.pixels.shape == (frame.height, frame.width)
+        assert not frame.pixels.flags.writeable
 
 
 class TestAbsDiff:
@@ -271,3 +334,7 @@ class TestReplayDir:
 
     def test_empty_dir_yields_nothing(self, tmp_path):
         assert list(replay_dir(tmp_path)) == []
+
+    def test_missing_dir_rejected(self, tmp_path):
+        with pytest.raises(NotADirectoryError, match="no such directory"):
+            list(replay_dir(tmp_path / "absent"))

@@ -70,6 +70,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _checked(convert, config, field: str):
+    """Flag type that converts the text and then has the config dataclass
+    check the value, so an out-of-range flag is a usage error. The same value
+    from a config file reaches the dataclass directly and stays a data error."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            config(**{field: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(
         prog="thermal-sentry",
@@ -86,15 +103,20 @@ def build_parser(defaults: dict | None = None) -> _Parser:
 
     detector = _Parser(add_help=False)
     group = detector.add_argument_group("detector options")
-    group.add_argument("--active-delta", type=int, default=20, metavar="COUNTS",
+    group.add_argument("--active-delta", default=20, metavar="COUNTS",
+                       type=_checked(int, MotionConfig, "active_pixel_delta"),
                        help="per-pixel movement threshold (default 20)")
-    group.add_argument("--active-fraction", type=float, default=0.05, metavar="FRAC",
+    group.add_argument("--active-fraction", default=0.05, metavar="FRAC",
+                       type=_checked(float, MotionConfig, "active_fraction"),
                        help="fraction of active pixels that means movement (default 0.05)")
-    group.add_argument("--max-hold-frames", type=_positive_int, default=None, metavar="N",
+    group.add_argument("--max-hold-frames", default=None, metavar="N",
+                       type=_checked(int, MotionConfig, "max_hold_frames"),
                        help="force a background refresh after N movement frames")
-    group.add_argument("--roi-ratio", type=float, default=1.20, metavar="RATIO",
+    group.add_argument("--roi-ratio", default=1.20, metavar="RATIO",
+                       type=_checked(float, RoiConfig, "ratio"),
                        help="quadrant mean must exceed RATIO x frame mean (default 1.20)")
-    group.add_argument("--roi-min-mean", type=int, default=1, metavar="COUNTS",
+    group.add_argument("--roi-min-mean", default=1, metavar="COUNTS",
+                       type=_checked(int, RoiConfig, "min_quadrant_mean"),
                        help="absolute quadrant-mean floor (default 1)")
     group.add_argument("--mode", choices=["parallel", "sequential"], default="parallel",
                        help="combine mode: run both methods, or B first (default parallel)")
@@ -180,7 +202,9 @@ def _iter_input_frames(args):
         return
     for index, path in enumerate(args.frames):
         frame = load_pgm(path)
-        yield ThermalFrame(frame.width, frame.height, frame.pixels, frame_index=index)
+        # the frame is fresh from load_pgm and not yet shared, as in replay_dir
+        object.__setattr__(frame, "frame_index", index)
+        yield frame
 
 
 def cmd_detect(args) -> int:

@@ -188,6 +188,47 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
             main(["detect", "--max-hold-frames", "0", "--input-dir", "x"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--active-delta", "0"),
+            ("--active-fraction", "0"),
+            ("--active-fraction", "1.5"),
+            ("--roi-ratio", "0.5"),
+            ("--roi-min-mean", "-1"),
+            ("--roi-ratio", "inf"),
+            ("--roi-ratio", "nan"),
+        ],
+    )
+    def test_out_of_range_detector_flag_is_usage_error(
+        self, tmp_path, capsys, flag, value
+    ):
+        # exit 1 even on an empty directory, which would otherwise exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", flag, value, "--input-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert flag in capsys.readouterr().err
+
+    def test_frame_files_give_the_same_records_as_the_directory(
+        self, tmp_path, capsys
+    ):
+        data = make_dataset(tmp_path, CROSSING_SCENE)
+        frames = sorted(str(p) for p in data.glob("*.pgm"))
+        capsys.readouterr()
+        code, by_dir, _ = run_cli(capsys, "detect", "--input-dir", str(data))
+        assert code == 0
+        code, by_files, _ = run_cli(capsys, "detect", *frames)
+        assert code == 0
+
+        def strip_elapsed(out):
+            records = [json.loads(line) for line in out.splitlines()]
+            for record in records:
+                record.pop("elapsed_us", None)
+            return records
+
+        assert len(by_dir.splitlines()) > len(frames)  # zone events included
+        assert strip_elapsed(by_files) == strip_elapsed(by_dir)
+
     def test_mid_stream_dimension_change_aborts(self, tmp_path, capsys):
         import numpy as np
         from thermal_sentry import ThermalFrame, write_pgm
@@ -343,6 +384,19 @@ class TestConfigFile:
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert not any(any(r["flags"].values()) for r in records)
+
+    @pytest.mark.parametrize("line", ["roi_ratio=inf", "roi_ratio=0.5", "active_delta=0"])
+    def test_out_of_range_config_value_is_data_error(self, tmp_path, capsys, line):
+        config = tmp_path / "sentry.cfg"
+        config.write_text(line + "\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "detect", "--input-dir", str(empty)
+        )
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
 
     def test_bad_config_key_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "sentry.cfg"

@@ -3,8 +3,10 @@ implementation of it, kept here as the reference.
 
 The reference computes the same exact arithmetic the slow way: thresholds
 re-derived from `Fraction(str(...))` on every call, four quadrant slice
-sums, an int32-widened absolute difference and the byte-at-a-time PGM
-header tokenizer. Every result must be identical, boundaries included.
+sums, an int32-widened absolute difference, the byte-at-a-time PGM
+header tokenizer and a P5 payload cast straight from the file bytes at
+whatever offset the header leaves. Every result must be identical,
+boundaries included.
 """
 
 import math
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +24,9 @@ from thermal_sentry import (
     QuadrantId,
     RoiConfig,
     RoiResult,
+    PgmError,
     ThermalFrame,
+    load_pgm,
     motion_init,
     motion_step,
     roi_analyze,
@@ -133,6 +138,13 @@ def reference_header_tokens(data):
         tokens.append(data[i:j])
         i = j
     return tokens, i
+
+
+def reference_p5_payload(data, offset, maxval):
+    """P5 samples cast straight from the file bytes, 16-bit ones from
+    whatever (often odd) offset the header leaves."""
+    dtype = ">u2" if maxval > 255 else np.uint8
+    return np.frombuffer(data, dtype=dtype, offset=offset).astype(np.uint16)
 
 
 # ---------------------------------------------------------------- helpers
@@ -326,3 +338,111 @@ class TestHeaderAgainstReference:
         tokens, pos = reference_header_tokens(data)
         expected = (tokens[0], *(int(t) for t in tokens[1:]), pos)
         assert _parse_header("h.pgm", data) == expected
+
+
+# ---------------------------------------------------------------- P5 payload
+
+
+@st.composite
+def p5_files(draw):
+    """A P5 file behind a header padded with whitespace and comments, its
+    payload starting at an odd or an even offset, and the pixels it holds."""
+    width, height = draw(even), draw(even)
+    maxval = draw(
+        st.one_of(
+            st.sampled_from([1, 255, 256, 65534, 65535]), st.integers(1, 65535)
+        )
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    pixels = np.random.default_rng(seed).integers(
+        0, maxval + 1, size=(height, width), dtype=np.uint16
+    )
+    seps = draw(st.tuples(separators, separators, separators))
+    header = b"P5" + b"".join(
+        sep + str(n).encode() for sep, n in zip(seps, (width, height, maxval))
+    )
+    header += draw(whitespace)  # the single byte that ends the header
+    if len(header) % 2 != draw(st.integers(0, 1)):
+        header = b"P5 " + header[2:]  # one more byte of padding
+    payload = pixels.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+    return header, payload, maxval, pixels
+
+
+class TestP5PayloadAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(p5=p5_files())
+    def test_padded_headers_decode_to_the_same_pixels(self, tmp_path_factory, p5):
+        header, payload, maxval, pixels = p5
+        path = tmp_path_factory.mktemp("p5") / "frame.pgm"
+        path.write_bytes(header + payload)
+        frame = load_pgm(path)
+        expected = reference_p5_payload(header + payload, len(header), maxval)
+        assert frame.pixels.dtype == np.uint16
+        assert np.array_equal(frame.pixels.ravel(), expected)
+        assert np.array_equal(frame.pixels, pixels)
+        if maxval > 255:
+            direct = np.frombuffer(payload, ">u2").astype(np.uint16)
+            assert np.array_equal(frame.pixels.ravel(), direct)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p5=p5_files(), at=st.integers(0, 2**16))
+    def test_every_check_still_applies(self, tmp_path_factory, p5, at):
+        header, payload, maxval, _ = p5
+        path = tmp_path_factory.mktemp("p5") / "frame.pgm"
+        itemsize = 2 if maxval > 255 else 1
+        # one sample above maxval, where the sample size can hold one
+        if maxval not in (255, 65535):
+            samples = bytearray(payload)
+            i = at % (len(payload) // itemsize) * itemsize
+            samples[i : i + itemsize] = (maxval + 1).to_bytes(itemsize, "big")
+            path.write_bytes(header + bytes(samples))
+            with pytest.raises(PgmError, match="exceeds maxval"):
+                load_pgm(path)
+        # one payload byte short, and one too many
+        for data in (header + payload[:-1], header + payload + b"\0"):
+            path.write_bytes(data)
+            with pytest.raises(PgmError, match="payload bytes"):
+                load_pgm(path)
+        # no whitespace between maxval and the payload
+        path.write_bytes(header[:-1] + b"7" + payload)
+        with pytest.raises(PgmError):
+            load_pgm(path)
+
+
+# ---------------------------------------------------------------- ROI accumulator
+
+
+def frame_of(height, width, fill):
+    """Frame whose pixels are 65535 where `fill(rows, cols)` holds, else 0."""
+    rows, cols = np.indices((height, width))
+    pixels = np.where(fill(rows, cols, height, width), 65535, 0).astype(np.uint16)
+    return ThermalFrame(width, height, pixels)
+
+
+FILLS = {
+    "all": lambda r, c, h, w: np.ones_like(r, dtype=bool),
+    "top-half": lambda r, c, h, w: r < h // 2,
+    "Q3": lambda r, c, h, w: (r >= h // 2) & (c >= w // 2),
+    "left-column": lambda r, c, h, w: c == 0,
+}
+
+
+class TestRoiAccumulatorAgainstReference:
+    @pytest.mark.parametrize("fill", FILLS)
+    def test_saturated_640x480(self, fill):
+        frame = frame_of(480, 640, FILLS[fill])
+        assert roi_analyze(frame) == reference_roi_analyze(frame)
+
+    # a 2-wide frame with half-height hh has column sums of hh * 65535:
+    # 65537 is the tallest that fits uint32 (exactly 2**32 - 1), 65538 the
+    # first that needs uint64
+    @pytest.mark.parametrize("hh", [65537, 65538])
+    @pytest.mark.parametrize("fill", FILLS)
+    def test_column_sums_at_the_uint32_limit(self, hh, fill):
+        if hh == 65537:
+            assert hh * 65535 == 2**32 - 1
+        frame = frame_of(2 * hh, 2, FILLS[fill])
+        got = roi_analyze(frame)
+        assert got == reference_roi_analyze(frame)
+        if fill == "all":
+            assert got.quadrant_means == {q: 65535.0 for q in QuadrantId}

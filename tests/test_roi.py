@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,11 @@ class TestConfig:
     def test_rejects_ratio_below_one(self):
         with pytest.raises(ValueError):
             RoiConfig(ratio=0.99)
+
+    @pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_ratio(self, ratio):
+        with pytest.raises(ValueError, match="finite"):
+            RoiConfig(ratio=ratio)
 
     def test_rejects_negative_floor(self):
         with pytest.raises(ValueError):

@@ -21,21 +21,15 @@ from .evaluate import (
     write_labels,
 )
 from .frame import (
-    FrameStats,
     PgmError,
     QuadrantId,
-    QuadRect,
     ThermalFrame,
     abs_diff,
-    frame_mean,
-    frame_stats,
     load_pgm,
-    quadrant_view,
     replay_dir,
-    split_quadrants,
     write_pgm,
 )
-from .hybrid import CombineMode, Detection, hybrid_step
+from .hybrid import Detection, hybrid_step
 from .motion import (
     MotionConfig,
     MotionResult,

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from .evaluate import (
@@ -26,11 +25,13 @@ from .evaluate import (
     format_report,
     report_to_dict,
     run_eval,
+    timed_steps,
 )
 from .frame import QUADRANTS, PgmError, ThermalFrame, load_pgm, replay_dir
-from .hybrid import CombineMode, hybrid_step
-from .motion import MotionConfig, motion_init, motion_step
-from .roi import RoiConfig, roi_analyze
+from .hybrid import hybrid_step
+from .keyvalue import key_value_lines
+from .motion import MotionConfig, motion_init
+from .roi import RoiConfig
 from .synth import BlobSpec, SceneError, SceneSpec, generate, parse_scene, render_frame
 from .zones import ZoneConfig, ZoneState, parse_zone_config, zone_update
 
@@ -169,31 +170,27 @@ def build_parser(defaults: dict | None = None) -> _Parser:
 
 def _load_config_file(path: str) -> dict:
     defaults = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip().lower().replace("-", "_")
-        if not sep or key not in _CONFIG_KEYS:
+    for lineno, raw, key, value in key_value_lines(Path(path).read_text()):
+        key = key.replace("-", "_")
+        if value is None or key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {raw!r}")
         try:
-            defaults[key] = _CONFIG_KEYS[key](value.strip())
+            defaults[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
     return defaults
 
 
-def _detector_configs(args) -> tuple[MotionConfig, RoiConfig, CombineMode]:
+def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
+    if args.mode not in ("parallel", "sequential"):
+        raise ValueError(f"{args.mode!r} is not a valid combine mode")
     motion_cfg = MotionConfig(
         active_pixel_delta=args.active_delta,
         active_fraction=args.active_fraction,
         max_hold_frames=args.max_hold_frames,
     )
     roi_cfg = RoiConfig(ratio=args.roi_ratio, min_quadrant_mean=args.roi_min_mean)
-    mode = CombineMode(args.mode)
-    return motion_cfg, roi_cfg, mode
+    return motion_cfg, roi_cfg
 
 
 def _iter_input_frames(args):
@@ -212,7 +209,9 @@ def cmd_detect(args) -> int:
         print("detect: exactly one of --input-dir or frame files required",
               file=sys.stderr)
         return EXIT_USAGE
-    motion_cfg, roi_cfg, mode = _detector_configs(args)
+    motion_cfg, roi_cfg = _detector_configs(args)
+    # sequential: a frame the quadrant method flagged reports no movement
+    sequential = args.mode == "sequential"
     zone_cfg = ZoneConfig()
     if args.zones:
         zone_cfg = parse_zone_config(Path(args.zones).read_text())
@@ -222,10 +221,10 @@ def cmd_detect(args) -> int:
         state = motion_init(motion_cfg)
         zone_state = ZoneState()
         for frame in _iter_input_frames(args):
-            detection = hybrid_step(state, frame, roi_cfg, mode)
+            detection = hybrid_step(state, frame, roi_cfg)
             safety, events = zone_update(zone_state, detection, zone_cfg)
             roi = detection.roi
-            motion = detection.motion
+            motion = None if sequential and roi.any else detection.motion
             record = {
                 "frame": detection.frame_index,
                 "verdict": detection.verdict,
@@ -264,15 +263,20 @@ def cmd_eval(args) -> int:
         except ValueError:
             print("eval: --cells expects TP,FP,FN,TN", file=sys.stderr)
             return EXIT_USAGE
-        cm = ConfusionMatrix(*cells)
-        for line in format_matrix("Injected matrix", cm, accuracy(cm)):
+        try:
+            cm = ConfusionMatrix(*cells)
+            acc = accuracy(cm)
+        except ValueError as exc:  # negative or all-zero counts
+            print(f"eval: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        for line in format_matrix("Injected matrix", cm, acc):
             print(line)
         return EXIT_OK
     if not args.input_dir or not args.labels:
         print("eval: --input-dir and --labels required (or --cells)", file=sys.stderr)
         return EXIT_USAGE
-    motion_cfg, roi_cfg, mode = _detector_configs(args)
-    report = run_eval(args.input_dir, args.labels, motion_cfg, roi_cfg, mode)
+    motion_cfg, roi_cfg = _detector_configs(args)
+    report = run_eval(args.input_dir, args.labels, motion_cfg, roi_cfg)
     print(format_report(report))
     if args.out:
         Path(args.out).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
@@ -306,7 +310,7 @@ def _bench_frames() -> list[ThermalFrame]:
 
 
 def cmd_bench(args) -> int:
-    motion_cfg, roi_cfg, _ = _detector_configs(args)
+    motion_cfg, roi_cfg = _detector_configs(args)
     if args.input_dir:
         frames = list(replay_dir(args.input_dir))
         if not frames:
@@ -315,18 +319,10 @@ def cmd_bench(args) -> int:
     else:
         frames = _bench_frames()
 
-    state = motion_init(motion_cfg)
     samples: dict[Method, list[float]] = {m: [] for m in Method}
-    for i in range(args.iterations):
-        frame = frames[i % len(frames)]
-        t0 = time.perf_counter_ns()
-        roi = roi_analyze(frame, roi_cfg)
-        t1 = time.perf_counter_ns()
-        motion_step(state, frame)
-        t2 = time.perf_counter_ns()
-        samples[Method.METHOD_B].append((t1 - t0) / 1000.0)
-        samples[Method.METHOD_A].append((t2 - t1) / 1000.0)
-        samples[Method.HYBRID].append((t2 - t0) / 1000.0)
+    stream = (frames[i % len(frames)] for i in range(args.iterations))
+    for _ in timed_steps(stream, samples, motion_cfg, roi_cfg):
+        pass
 
     stats = {m: LatencyStats.from_samples(samples[m]) for m in Method}
     width, height = frames[0].width, frames[0].height

@@ -14,14 +14,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .frame import QuadrantId, replay_dir
-from .hybrid import CombineMode
-from .motion import MotionConfig, motion_init, motion_step
-from .roi import RoiConfig, roi_analyze
+from .frame import QuadrantId, ThermalFrame, replay_dir
+from .motion import MotionConfig, MotionResult, motion_init, motion_step
+from .roi import RoiConfig, RoiResult, roi_analyze
 
 
 class DatasetError(ValueError):
@@ -173,29 +172,46 @@ def write_labels(labels: Iterable[GroundTruthLabel], path: str | Path) -> None:
             writer.writerow([label.frame_index, int(label.human_present), quadrants])
 
 
+def timed_steps(
+    frames: Iterable[ThermalFrame],
+    samples: Mapping[Method, list[float]],
+    motion_config: MotionConfig | None = None,
+    roi_config: RoiConfig | None = None,
+) -> Iterator[tuple[RoiResult, MotionResult]]:
+    """Run both detectors over a stream, yielding (roi, motion) per frame.
+
+    Each frame appends the time of method B, of method A and of the two back
+    to back (the hybrid), in microseconds, to `samples`.
+    """
+    state = motion_init(motion_config)
+    for frame in frames:
+        t0 = time.perf_counter_ns()
+        roi = roi_analyze(frame, roi_config)
+        t1 = time.perf_counter_ns()
+        motion = motion_step(state, frame)
+        t2 = time.perf_counter_ns()
+        samples[Method.METHOD_B].append((t1 - t0) / 1000.0)
+        samples[Method.METHOD_A].append((t2 - t1) / 1000.0)
+        samples[Method.HYBRID].append((t2 - t0) / 1000.0)
+        yield roi, motion
+
+
 def run_eval(
     dataset_dir: str | Path,
     labels_path: str | Path,
     motion_config: MotionConfig | None = None,
     roi_config: RoiConfig | None = None,
-    mode: CombineMode = CombineMode.PARALLEL_OR,
 ) -> EvalReport:
     """Replay a labeled dataset once and score all three methods.
 
-    The movement state advances on every frame regardless of `mode`, so the
-    component verdicts, and therefore all three matrices, are identical in
-    both combine modes; the parameter exists for interface parity with the
-    detection pipeline. The indeterminate first frame counts as a negative
-    prediction for method A and the hybrid.
+    The indeterminate first frame counts as a negative prediction for
+    method A and the hybrid.
     """
     labels = read_labels(labels_path)
-    state = motion_init(motion_config)
-    roi_cfg = roi_config or RoiConfig()
-
     preds: dict[Method, list[bool]] = {m: [] for m in Method}
     samples: dict[Method, list[float]] = {m: [] for m in Method}
-    count = 0
-    for frame in replay_dir(dataset_dir):
+    steps = timed_steps(replay_dir(dataset_dir), samples, motion_config, roi_config)
+    for count, (roi, motion) in enumerate(steps):
         if count >= len(labels):
             raise DatasetError(f"no label for frame {count}")
         if labels[count].frame_index != count:
@@ -203,18 +219,10 @@ def run_eval(
                 f"label misalignment: expected frame {count}, "
                 f"got {labels[count].frame_index}"
             )
-        t0 = time.perf_counter_ns()
-        roi = roi_analyze(frame, roi_cfg)
-        t1 = time.perf_counter_ns()
-        motion = motion_step(state, frame)
-        t2 = time.perf_counter_ns()
         preds[Method.METHOD_A].append(motion.movement)
         preds[Method.METHOD_B].append(roi.any)
         preds[Method.HYBRID].append(roi.any or motion.movement)
-        samples[Method.METHOD_B].append((t1 - t0) / 1000.0)
-        samples[Method.METHOD_A].append((t2 - t1) / 1000.0)
-        samples[Method.HYBRID].append((t2 - t0) / 1000.0)
-        count += 1
+    count = len(preds[Method.HYBRID])
     if count == 0:
         raise DatasetError(f"{dataset_dir}: dataset contains no frames")
     if count < len(labels):

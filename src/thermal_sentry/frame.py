@@ -1,9 +1,9 @@
 """Thermal frame primitives and PGM file I/O.
 
 A frame is an immutable row-major grid of unsigned 16-bit intensity counts
-(raw sensor units, deliberately uninterpreted). Both detection methods are
-built from the pixel-level operations in this module: absolute differencing,
-exact means, and the fixed 2x2 quadrant split.
+(raw sensor units, deliberately uninterpreted). The movement detector
+differences frames with `abs_diff`; the quadrant detector splits them 2x2 in
+`QuadrantId` order.
 
 PGM support covers P2 (ASCII) and P5 (binary) with maxval <= 65535. Binary
 16-bit payloads are big-endian, most significant byte first, per the PGM
@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -43,15 +43,6 @@ class QuadrantId(IntEnum):
 QUADRANTS = tuple(QuadrantId)
 
 
-class QuadRect(NamedTuple):
-    """Pixel rectangle: offset of the top-left corner plus size."""
-
-    x: int
-    y: int
-    width: int
-    height: int
-
-
 @dataclass(frozen=True, eq=False)
 class ThermalFrame:
     """One radiometric image.
@@ -64,7 +55,6 @@ class ThermalFrame:
     height: int
     pixels: np.ndarray
     frame_index: int = 0
-    timestamp_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.width < 2 or self.height < 2 or self.width % 2 or self.height % 2:
@@ -89,9 +79,7 @@ class ThermalFrame:
         object.__setattr__(self, "pixels", arr)
 
 
-def _own_frame(
-    pixels: np.ndarray, frame_index: int = 0, timestamp_ms: float | None = None
-) -> ThermalFrame:
+def _own_frame(pixels: np.ndarray, frame_index: int = 0) -> ThermalFrame:
     """Frame around a (height, width) uint16 array this module has just
     allocated and shares with no one: its shape and dtype are known valid, so
     it is made read-only in place instead of being validated and copied."""
@@ -102,28 +90,12 @@ def _own_frame(
         height=pixels.shape[0],
         pixels=pixels,
         frame_index=frame_index,
-        timestamp_ms=timestamp_ms,
     )
     return frame
 
 
-@dataclass(frozen=True)
-class FrameStats:
-    mean: float
-    min: int
-    max: int
-
-
-def frame_stats(frame: ThermalFrame) -> FrameStats:
-    return FrameStats(
-        mean=frame_mean(frame),
-        min=int(frame.pixels.min()),
-        max=int(frame.pixels.max()),
-    )
-
-
 def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
-    """Per-pixel |a - b|. Index and timestamp are carried from `a`."""
+    """Per-pixel |a - b|. The frame index is carried from `a`."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
@@ -131,29 +103,7 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
     # max - min never wraps, so the difference is exact without widening
     diff = np.maximum(a.pixels, b.pixels)
     diff -= np.minimum(a.pixels, b.pixels)
-    return _own_frame(diff, a.frame_index, a.timestamp_ms)
-
-
-def frame_mean(frame: ThermalFrame) -> float:
-    # exact 64-bit integer sum, then a single double-precision division
-    return int(frame.pixels.sum(dtype=np.int64)) / frame.pixels.size
-
-
-def split_quadrants(frame: ThermalFrame) -> dict[QuadrantId, QuadRect]:
-    """Four non-overlapping (width/2)x(height/2) rectangles tiling the frame."""
-    hw, hh = frame.width // 2, frame.height // 2
-    return {
-        QuadrantId.Q0: QuadRect(0, 0, hw, hh),
-        QuadrantId.Q1: QuadRect(hw, 0, hw, hh),
-        QuadrantId.Q2: QuadRect(0, hh, hw, hh),
-        QuadrantId.Q3: QuadRect(hw, hh, hw, hh),
-    }
-
-
-def quadrant_view(frame: ThermalFrame, quadrant: QuadrantId) -> np.ndarray:
-    """Read-only pixel view of one quadrant."""
-    r = split_quadrants(frame)[quadrant]
-    return frame.pixels[r.y : r.y + r.height, r.x : r.x + r.width]
+    return _own_frame(diff, a.frame_index)
 
 
 def load_pgm(path: str | Path) -> ThermalFrame:

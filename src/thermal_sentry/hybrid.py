@@ -1,51 +1,36 @@
 """Per-frame fusion of the movement and region-of-interest detectors.
 
 A frame is positive when either method reports presence; only when both are
-negative is the frame negative. The sequential mode mirrors a B-first
-evaluation order: the movement detector still runs on every frame (its
-background must keep tracking the stream) but its result is withheld from
-the reported detection whenever the quadrant method has already decided the
-frame positive.
+negative is the frame negative. Both detectors run on every frame: the
+movement detector's background must keep tracking the stream even on frames
+the quadrant method already decided.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 from .frame import ThermalFrame
 from .motion import MotionResult, MotionState, motion_step
 from .roi import RoiConfig, RoiResult, roi_analyze
 
 
-class CombineMode(Enum):
-    PARALLEL_OR = "parallel"
-    SEQUENTIAL_B_THEN_A = "sequential"
-
-
 @dataclass(frozen=True)
 class Detection:
-    """Per-frame verdict plus the component evidence that produced it.
-
-    In PARALLEL_OR both component results are present. In
-    SEQUENTIAL_B_THEN_A the motion result is None on frames the quadrant
-    method already flagged.
-    """
+    """Per-frame verdict plus the component evidence that produced it."""
 
     frame_index: int
     verdict: bool
-    mode: CombineMode
     elapsed_us: float
-    motion: MotionResult | None
-    roi: RoiResult | None
+    motion: MotionResult
+    roi: RoiResult
 
 
 def hybrid_step(
     motion_state: MotionState,
     frame: ThermalFrame,
     roi_config: RoiConfig | None = None,
-    mode: CombineMode = CombineMode.PARALLEL_OR,
 ) -> Detection:
     """Run both detectors on one frame and OR their verdicts.
 
@@ -57,15 +42,4 @@ def hybrid_step(
     motion = motion_step(motion_state, frame)
     verdict = roi.any or motion.movement
     elapsed_us = (time.perf_counter_ns() - start) / 1000.0
-
-    reported: MotionResult | None = motion
-    if mode is CombineMode.SEQUENTIAL_B_THEN_A and roi.any:
-        reported = None
-    return Detection(
-        frame_index=frame.frame_index,
-        verdict=verdict,
-        mode=mode,
-        elapsed_us=elapsed_us,
-        motion=reported,
-        roi=roi,
-    )
+    return Detection(frame.frame_index, verdict, elapsed_us, motion, roi)

@@ -80,7 +80,7 @@ def motion_init(config: MotionConfig | None = None) -> MotionState:
 
 
 @lru_cache(maxsize=64, typed=True)
-def required_active_count(fraction: float | Fraction, pixel_count: int) -> int:
+def required_active_count(fraction: float, pixel_count: int) -> int:
     """Smallest active-pixel count satisfying "at least `fraction` of all".
 
     The ceiling is taken over the decimal value the caller wrote, not over
@@ -89,9 +89,7 @@ def required_active_count(fraction: float | Fraction, pixel_count: int) -> int:
     (fraction, pixel count) on every frame and the exact arithmetic costs
     more than the rest of the threshold test.
     """
-    if not isinstance(fraction, Fraction):
-        fraction = Fraction(str(fraction))
-    return math.ceil(fraction * pixel_count)
+    return math.ceil(Fraction(str(fraction)) * pixel_count)
 
 
 def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:

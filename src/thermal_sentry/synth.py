@@ -25,6 +25,7 @@ import numpy as np
 
 from .evaluate import GroundTruthLabel, write_labels
 from .frame import QuadrantId, ThermalFrame, write_pgm
+from .keyvalue import key_value_lines
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -114,20 +115,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_int(z: int) -> int:
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def standard_normals(seed: int, frame_index: int, count: int) -> np.ndarray:
     """The frame's noise substream as standard normals (see module docstring)."""
-    frame_seed = _mix64_int((seed + (frame_index + 1) * _GOLDEN) & _MASK64)
+    start = (seed + (frame_index + 1) * _GOLDEN) & _MASK64
+    frame_seed = _mix64(np.array([start], dtype=np.uint64))[0]
     pairs = (count + 1) // 2
     ks = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    z = _mix64(np.uint64(frame_seed) + ks * np.uint64(_GOLDEN))
+    z = _mix64(frame_seed + ks * np.uint64(_GOLDEN))
     u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[0::2]))
     theta = 2.0 * math.pi * u[1::2]
@@ -154,13 +148,7 @@ def render_frame(spec: SceneSpec, frame_index: int) -> ThermalFrame:
         noise = standard_normals(spec.seed, frame_index, field.size)
         field += spec.noise_sigma * noise.reshape(field.shape)
     pixels = np.clip(np.rint(field), 0, 65535).astype(np.uint16)
-    return ThermalFrame(
-        spec.width,
-        spec.height,
-        pixels,
-        frame_index=frame_index,
-        timestamp_ms=frame_index * 1000.0 / spec.fps,
-    )
+    return ThermalFrame(spec.width, spec.height, pixels, frame_index=frame_index)
 
 
 def frame_label(spec: SceneSpec, frame_index: int) -> GroundTruthLabel:
@@ -223,15 +211,9 @@ def parse_scene(text: str) -> SceneSpec:
     """
     settings: dict[str, object] = {}
     blobs: list[BlobSpec] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+    for lineno, raw, key, value in key_value_lines(text):
+        if value is None:
             raise SceneError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
         if key == "blob":
             blobs.append(_parse_blob(lineno, value))
         elif key in _SCENE_KEYS:

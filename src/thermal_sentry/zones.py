@@ -22,6 +22,7 @@ from typing import Mapping
 
 from .frame import QUADRANTS, QuadrantId
 from .hybrid import Detection
+from .keyvalue import key_value_lines
 
 
 class ZoneClass(Enum):
@@ -103,8 +104,6 @@ def zone_update(
     it (quadrant transitions first, then the state change, if any).
     """
     roi = detection.roi
-    if roi is None:
-        raise ValueError("detection carries no quadrant analysis")
     index = detection.frame_index
     events: list[ZoneEvent] = []
 
@@ -157,18 +156,12 @@ def parse_zone_config(text: str) -> ZoneConfig:
     mentioned default to Ignore.
     """
     classes = _all_ignore()
-    debounce = 3
-    clear = 3
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
+    counts = {"debounce": 3, "clear": 3}
+    for lineno, raw, key, value in key_value_lines(text):
+        if value is None:
             raise ZoneConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip().lower()
-        if key in ("debounce", "clear"):
+        value = value.lower()
+        if key in counts:
             try:
                 count = int(value)
             except ValueError:
@@ -177,10 +170,7 @@ def parse_zone_config(text: str) -> ZoneConfig:
                 ) from None
             if count < 1:
                 raise ZoneConfigError(f"line {lineno}: {key} must be positive")
-            if key == "debounce":
-                debounce = count
-            else:
-                clear = count
+            counts[key] = count
         elif key in ("q0", "q1", "q2", "q3"):
             try:
                 classes[QuadrantId[key.upper()]] = ZoneClass(value)
@@ -190,4 +180,4 @@ def parse_zone_config(text: str) -> ZoneConfig:
                 ) from None
         else:
             raise ZoneConfigError(f"line {lineno}: unknown key {key!r}")
-    return ZoneConfig(zone_class=classes, debounce_frames=debounce, clear_frames=clear)
+    return ZoneConfig(classes, counts["debounce"], counts["clear"])

@@ -31,7 +31,9 @@ from thermal_sentry import (
     write_pgm,
     zone_update,
 )
-from thermal_sentry.hybrid import CombineMode, Detection, hybrid_step
+from thermal_sentry.evaluate import timed_steps
+from thermal_sentry.hybrid import Detection, hybrid_step
+from thermal_sentry.motion import MotionResult
 from thermal_sentry.roi import RoiResult
 from thermal_sentry.zones import ZoneEventKind
 
@@ -148,11 +150,7 @@ class TestReferenceScenario:
         a_pos = {f.frame_index for f in frames if motion_step(a_state, f).movement}
         b_pos = {f.frame_index for f in frames if roi_analyze(f).any}
         h_state = motion_init()
-        h_pos = {
-            f.frame_index
-            for f in frames
-            if hybrid_step(h_state, f, mode=CombineMode.PARALLEL_OR).verdict
-        }
+        h_pos = {f.frame_index for f in frames if hybrid_step(h_state, f).verdict}
         truth = {label.frame_index for label in dataset.labels if label.human_present}
         hybrid_tp = len(h_pos & truth)
         ok = h_pos == (a_pos | b_pos)
@@ -187,22 +185,12 @@ class TestLatency:
             ),
         )
         frames = [render_frame(spec, t) for t in range(spec.frames)]
-        state = motion_init()
         iterations = 1200
-        import time
-
-        a_us, b_us, h_us = [], [], []
-        for i in range(iterations):
-            frame = frames[i % len(frames)]
-            t0 = time.perf_counter_ns()
-            roi_analyze(frame)
-            t1 = time.perf_counter_ns()
-            motion_step(state, frame)
-            t2 = time.perf_counter_ns()
-            b_us.append((t1 - t0) / 1000.0)
-            a_us.append((t2 - t1) / 1000.0)
-            h_us.append((t2 - t0) / 1000.0)
-        max_a, max_b, max_h = max(a_us), max(b_us), max(h_us)
+        samples = {m: [] for m in Method}
+        stream = (frames[i % len(frames)] for i in range(iterations))
+        for _ in timed_steps(stream, samples):
+            pass
+        max_a, max_b, max_h = (max(samples[m]) for m in Method)
         print(
             f"  latency max us: A {max_a:.0f}, B {max_b:.0f}, hybrid {max_h:.0f} "
             f"({iterations} iterations, 160x120)"
@@ -226,7 +214,8 @@ class TestZoneMachine:
                     flags=flags,
                     any=any(flags.values()),
                 )
-                det = Detection(i, any(flags.values()), CombineMode.PARALLEL_OR, 1.0, None, roi)
+                motion = MotionResult(False, 0, 1, True, False)
+                det = Detection(i, roi.any, 1.0, motion, roi)
                 _, events = zone_update(state, det, cfg)
                 log.extend(events)
             return log

@@ -39,6 +39,18 @@ seed=3
 blob=900,2,human,0:8:6
 """
 
+# a global drift trips the movement detector on every frame after the first
+# without flagging a quadrant; a human in Q0 on frames 6-9 flags it
+DRIFT_AND_VISIT_SCENE = """
+width=32
+height=24
+frames=14
+ambient=100
+drift=30
+seed=4
+blob=900,3,human,0:-60:6,5:-60:6,6:8:6,9:8:6,10:-60:6
+"""
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -168,6 +180,40 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
             assert record["active_count"] is None
             assert record["verdict"] is True
 
+    def test_sequential_mode_differs_from_parallel_only_in_withheld_movement(
+        self, tmp_path, capsys
+    ):
+        data = make_dataset(tmp_path, DRIFT_AND_VISIT_SCENE)
+        zones = tmp_path / "zones.cfg"
+        zones.write_text("Q0=critical\ndebounce=2\n")
+        capsys.readouterr()
+        runs = {}
+        for mode in ("parallel", "sequential"):
+            code, out, _ = run_cli(capsys, "detect", "--input-dir", str(data),
+                                   "--zones", str(zones), "--mode", mode)
+            assert code == 0
+            runs[mode] = [json.loads(line) for line in out.splitlines()]
+        assert len(runs["parallel"]) == len(runs["sequential"])
+
+        movement_fields = ("movement", "active_count")
+        flagged = movement_only = 0
+        for par, seq in zip(runs["parallel"], runs["sequential"]):
+            if "verdict" not in par:  # zone event
+                assert seq == par
+                continue
+            ignored = (*movement_fields, "elapsed_us")
+            assert ({k: v for k, v in seq.items() if k not in ignored}
+                    == {k: v for k, v in par.items() if k not in ignored})
+            if any(par["flags"].values()):
+                flagged += 1
+                assert [seq[k] for k in movement_fields] == [None, None]
+            else:
+                movement_only += par["movement"]
+                assert [seq[k] for k in movement_fields] == [
+                    par[k] for k in movement_fields
+                ]
+        assert flagged == 4 and movement_only == 9
+
     def test_unreadable_input_is_data_error(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.pgm"
         bogus.write_bytes(b"not a pgm")
@@ -265,6 +311,16 @@ class TestEval:
     def test_cells_mode_malformed(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--cells", "1,2,3")
         assert code == 1 and "TP,FP,FN,TN" in err
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [("-1,2,3,4", "confusion counts must be non-negative"),
+         ("0,0,0,0", "empty confusion matrix")],
+    )
+    def test_cells_mode_out_of_range_is_usage_error(self, capsys, cells, message):
+        code, out, err = run_cli(capsys, "eval", f"--cells={cells}")
+        assert code == 1
+        assert out == "" and message in err
 
     def test_missing_label_is_data_error(self, tmp_path, capsys):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)

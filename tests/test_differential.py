@@ -30,7 +30,6 @@ from thermal_sentry import (
     motion_init,
     motion_step,
     roi_analyze,
-    split_quadrants,
 )
 from thermal_sentry.frame import _parse_header
 
@@ -39,12 +38,19 @@ from thermal_sentry.frame import _parse_header
 
 def reference_roi_analyze(frame, config=None):
     cfg = config or RoiConfig()
-    rects = split_quadrants(frame)
-    quad_count = (frame.width // 2) * (frame.height // 2)
+    hw, hh = frame.width // 2, frame.height // 2
+    # (x, y, width, height) of each quadrant, top-left first, row-major
+    rects = {
+        QuadrantId.Q0: (0, 0, hw, hh),
+        QuadrantId.Q1: (hw, 0, hw, hh),
+        QuadrantId.Q2: (0, hh, hw, hh),
+        QuadrantId.Q3: (hw, hh, hw, hh),
+    }
+    quad_count = hw * hh
 
     sums = {}
-    for qid, r in rects.items():
-        view = frame.pixels[r.y : r.y + r.height, r.x : r.x + r.width]
+    for qid, (x, y, width, height) in rects.items():
+        view = frame.pixels[y : y + height, x : x + width]
         sums[qid] = int(view.sum(dtype=np.int64))
     total = sum(sums.values())
 

@@ -7,17 +7,23 @@ from thermal_sentry import (
     DatasetError,
     GroundTruthLabel,
     Method,
+    MotionConfig,
     QuadrantId,
+    RoiConfig,
     SceneSpec,
     BlobSpec,
     accuracy,
     confusion,
     generate,
+    motion_init,
+    motion_step,
     read_labels,
+    render_frame,
+    roi_analyze,
     run_eval,
     write_labels,
 )
-from thermal_sentry.evaluate import format_report, report_to_dict
+from thermal_sentry.evaluate import format_report, report_to_dict, timed_steps
 
 
 class TestAccuracy:
@@ -215,6 +221,31 @@ class TestRunEval:
         empty.mkdir()
         with pytest.raises(DatasetError, match="no frames"):
             run_eval(empty, static_human_dataset.labels_path)
+
+
+class TestTimedSteps:
+    def test_matches_the_detectors_and_times_each_frame_once(self):
+        spec = SceneSpec(
+            frames=12, width=32, height=24, ambient=60, noise_sigma=1.0, seed=5,
+            blobs=(BlobSpec(400.0, 3.0, ((0, 2.0, 4.0), (11, 30.0, 20.0))),),
+        )
+        frames = [render_frame(spec, t) for t in range(spec.frames)]
+        motion_cfg = MotionConfig(active_pixel_delta=15, active_fraction=0.02,
+                                  max_hold_frames=3)
+        roi_cfg = RoiConfig(ratio=1.5)  # flags fewer frames than the default
+        samples = {m: [] for m in Method}
+        steps = list(timed_steps(iter(frames), samples, motion_cfg, roi_cfg))
+
+        state = motion_init(motion_cfg)
+        expected = [(roi_analyze(f, roi_cfg), motion_step(state, f)) for f in frames]
+        assert steps == expected
+        assert any(motion.movement for _, motion in steps)
+        assert any(roi.any for roi, _ in steps)
+        assert [roi.any for roi, _ in steps] != [roi_analyze(f).any for f in frames]
+        assert all(len(samples[m]) == len(frames) for m in Method)
+        for a, b, hybrid in zip(*(samples[m] for m in Method)):
+            assert a >= 0 and b >= 0
+            assert hybrid == pytest.approx(a + b, rel=1e-12, abs=1e-9)
 
 
 class TestReportRendering:

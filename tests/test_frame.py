@@ -10,12 +10,9 @@ from thermal_sentry import (
     QuadrantId,
     ThermalFrame,
     abs_diff,
-    frame_mean,
-    frame_stats,
     load_pgm,
-    quadrant_view,
     replay_dir,
-    split_quadrants,
+    roi_analyze,
     write_pgm,
 )
 from conftest import make_frame, uniform_frame
@@ -265,57 +262,75 @@ class TestAbsDiff:
 
 
 class TestFrameMean:
+    """The exact frame mean, as the quadrant detector computes it."""
+
     def test_uniform(self):
-        assert frame_mean(uniform_frame(8, 6, 100)) == 100.0
+        assert roi_analyze(uniform_frame(8, 6, 100)).frame_mean == 100.0
 
     def test_quadrant_weighted_hand_value(self):
         # (200*4 + 100*12) / 16
         frame = make_frame(
             [[200, 200, 100, 100]] * 2 + [[100, 100, 100, 100]] * 2
         )
-        assert frame_mean(frame) == 125.0
+        assert roi_analyze(frame).frame_mean == 125.0
 
     def test_all_zero(self):
-        assert frame_mean(uniform_frame(4, 4, 0)) == 0.0
+        assert roi_analyze(uniform_frame(4, 4, 0)).frame_mean == 0.0
 
     def test_no_overflow_at_full_scale(self):
-        assert frame_mean(uniform_frame(160, 120, 65535)) == 65535.0
+        for width, height in [(160, 120), (640, 480)]:
+            frame = uniform_frame(width, height, 65535)
+            assert roi_analyze(frame).frame_mean == 65535.0
 
     @settings(max_examples=25, deadline=None)
     @given(frames())
     def test_equals_mean_of_quadrant_means(self, frame):
+        hh, hw = frame.height // 2, frame.width // 2
+        p = frame.pixels
         quadrant_means = [
-            quadrant_view(frame, q).mean(dtype=np.float64) for q in QuadrantId
+            block.mean(dtype=np.float64)
+            for block in (p[:hh, :hw], p[:hh, hw:], p[hh:, :hw], p[hh:, hw:])
         ]
-        assert frame_mean(frame) == pytest.approx(np.mean(quadrant_means), abs=1e-9)
+        result = roi_analyze(frame)
+        assert result.frame_mean == pytest.approx(np.mean(quadrant_means), abs=1e-9)
+        assert result.frame_mean == pytest.approx(p.mean(dtype=np.float64), abs=1e-9)
 
-    def test_stats(self):
-        stats = frame_stats(make_frame([[1, 2], [3, 4]]))
-        assert (stats.min, stats.max, stats.mean) == (1, 4, 2.5)
+
+def quadrant_coded_frame(width, height):
+    """Every pixel holds its quadrant's number plus one, split at the
+    midlines: Q0 top-left, Q1 top-right, Q2 bottom-left, Q3 bottom-right."""
+    hw, hh = width // 2, height // 2
+    pixels = np.empty((height, width), dtype=np.uint16)
+    pixels[:hh, :hw], pixels[:hh, hw:] = 1, 2
+    pixels[hh:, :hw], pixels[hh:, hw:] = 3, 4
+    return ThermalFrame(width, height, pixels)
 
 
 class TestSplitQuadrants:
+    """The 2x2 split and `QuadrantId` order of the quadrant detector."""
+
     def test_160x120_gives_80x60(self):
-        rects = split_quadrants(uniform_frame(160, 120, 0))
-        assert all((r.width, r.height) == (80, 60) for r in rects.values())
-        assert rects[QuadrantId.Q0][:2] == (0, 0)
-        assert rects[QuadrantId.Q1][:2] == (80, 0)
-        assert rects[QuadrantId.Q2][:2] == (0, 60)
-        assert rects[QuadrantId.Q3][:2] == (80, 60)
+        # a split off the midlines would mix two codes into a fractional mean
+        means = roi_analyze(quadrant_coded_frame(160, 120)).quadrant_means
+        assert [means[q] for q in QuadrantId] == [1.0, 2.0, 3.0, 4.0]
 
     def test_4x4_gives_2x2(self):
-        rects = split_quadrants(uniform_frame(4, 4, 0))
-        assert all((r.width, r.height) == (2, 2) for r in rects.values())
+        means = roi_analyze(quadrant_coded_frame(4, 4)).quadrant_means
+        assert [means[q] for q in QuadrantId] == [1.0, 2.0, 3.0, 4.0]
 
     @settings(max_examples=25, deadline=None)
-    @given(even_dims)
-    def test_tiling_covers_each_pixel_once(self, dims):
+    @given(even_dims, st.data())
+    def test_tiling_covers_each_pixel_once(self, dims, data):
+        # one hot pixel counts in its own quadrant's sum, and in no other
         width, height = dims
-        frame = uniform_frame(width, height, 0)
-        cover = np.zeros((height, width), dtype=int)
-        for r in split_quadrants(frame).values():
-            cover[r.y : r.y + r.height, r.x : r.x + r.width] += 1
-        assert np.all(cover == 1)
+        x = data.draw(st.integers(0, width - 1))
+        y = data.draw(st.integers(0, height - 1))
+        pixels = np.zeros((height, width), dtype=np.uint16)
+        pixels[y, x] = 1000
+        means = roi_analyze(ThermalFrame(width, height, pixels)).quadrant_means
+        quad_count = (width // 2) * (height // 2)
+        owner = QuadrantId(2 * (y >= height // 2) + (x >= width // 2))
+        assert means == {q: 1000 / quad_count if q is owner else 0.0 for q in QuadrantId}
 
 
 class TestReplayDir:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from thermal_sentry import (
-    CombineMode,
     MotionConfig,
     RoiConfig,
     ThermalFrame,
@@ -70,44 +69,6 @@ class TestVerdictTable:
         assert not det.verdict
 
 
-class TestModes:
-    def test_parallel_reports_both_components(self):
-        state = motion_init()
-        det = hybrid_step(state, hot_quadrant_frame(0), mode=CombineMode.PARALLEL_OR)
-        assert det.motion is not None and det.roi is not None
-
-    def test_sequential_withholds_motion_when_roi_decides(self):
-        state = motion_init()
-        det = hybrid_step(
-            state, hot_quadrant_frame(0), mode=CombineMode.SEQUENTIAL_B_THEN_A
-        )
-        assert det.roi.any and det.verdict
-        assert det.motion is None
-
-    def test_sequential_reports_motion_when_roi_negative(self):
-        state = motion_init()
-        hybrid_step(state, global_shift_frame(0, 100), mode=CombineMode.SEQUENTIAL_B_THEN_A)
-        det = hybrid_step(
-            state, global_shift_frame(1, 200), mode=CombineMode.SEQUENTIAL_B_THEN_A
-        )
-        assert det.motion is not None and det.motion.movement
-        assert det.verdict
-
-    def test_sequential_still_maintains_background(self):
-        # motion runs on roi-positive frames too, so both modes see the same
-        # background evolution and produce the same verdicts
-        frames = [hot_quadrant_frame(0), hot_quadrant_frame(1, hot=500),
-                  global_shift_frame(2, 50), global_shift_frame(3, 300)]
-        verdicts = {}
-        backgrounds = {}
-        for mode in CombineMode:
-            state = motion_init()
-            verdicts[mode] = [hybrid_step(state, f, mode=mode).verdict for f in frames]
-            backgrounds[mode] = state.background.pixels
-        assert verdicts[CombineMode.PARALLEL_OR] == verdicts[CombineMode.SEQUENTIAL_B_THEN_A]
-        assert np.array_equal(*backgrounds.values())
-
-
 class TestUnionProperty:
     def test_hybrid_positives_are_union_of_standalone_positives(self, rng):
         # mixed random stream: shifts, hot quadrants, quiet stretches
@@ -125,11 +86,7 @@ class TestUnionProperty:
         a_pos = {f.frame_index for f in frames if motion_step(a_state, f).movement}
         b_pos = {f.frame_index for f in frames if roi_analyze(f).any}
         h_state = motion_init(MotionConfig())
-        h_pos = {
-            f.frame_index
-            for f in frames
-            if hybrid_step(h_state, f, mode=CombineMode.PARALLEL_OR).verdict
-        }
+        h_pos = {f.frame_index for f in frames if hybrid_step(h_state, f).verdict}
         assert h_pos == a_pos | b_pos
 
     def test_elapsed_us_recorded_and_positive(self):

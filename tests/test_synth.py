@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,6 @@ class TestRenderFrame:
         # hand value one sigma away along x: 1000 * exp(-4/8)
         assert pixels[6, 10] == round(1000 * np.exp(-0.5))
 
-    def test_timestamp_from_fps(self):
-        spec = SceneSpec(frames=10, width=8, height=6, fps=4.0)
-        assert render_frame(spec, 8).timestamp_ms == 2000.0
-
 
 class TestNoise:
     def test_deterministic_per_seed_and_frame(self):
@@ -115,6 +113,38 @@ class TestNoise:
 
     def test_odd_count(self):
         assert standard_normals(1, 0, 7).shape == (7,)
+
+    @pytest.mark.parametrize(
+        "seed, frame_index",
+        [
+            (0, 0),
+            (0, 1),  # 2*G passes 2**64
+            (2**64 - 1, 0),  # seed + G passes 2**64
+            (2**64 - 1, 5),
+            (12345, 7),
+        ],
+    )
+    def test_first_draws_match_the_spec(self, seed, frame_index):
+        # the noise spec in synth.py's docstring, in Python ints and math
+        mask, golden = 2**64 - 1, 0x9E3779B97F4A7C15
+
+        def mix64(z):
+            z ^= z >> 30
+            z = (z * 0xBF58476D1CE4E5B9) & mask
+            z ^= z >> 27
+            z = (z * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        f = mix64((seed + (frame_index + 1) * golden) & mask)
+        u = [((mix64((f + (k + 1) * golden) & mask) >> 11) + 1) * 2.0**-53
+             for k in range(6)]
+        expected = []
+        for u1, u2 in zip(u[0::2], u[1::2]):
+            radius = math.sqrt(-2.0 * math.log(u1))
+            theta = 2.0 * math.pi * u2
+            expected += [radius * math.cos(theta), radius * math.sin(theta)]
+        got = standard_normals(seed, frame_index, 5)
+        assert got.tolist() == pytest.approx(expected[:5], rel=1e-12, abs=1e-12)
 
 
 class TestLabels:

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermal_sentry import (
-    CombineMode,
     Detection,
+    MotionResult,
     QuadrantId,
     RoiResult,
     SafetyState,
@@ -29,12 +29,12 @@ def detection(frame_index, flags=(), verdict=None):
     )
     if verdict is None:
         verdict = roi.any
+    movement = verdict and not roi.any
     return Detection(
         frame_index=frame_index,
         verdict=verdict,
-        mode=CombineMode.PARALLEL_OR,
         elapsed_us=1.0,
-        motion=None,
+        motion=MotionResult(movement, 0, 1, not movement, False),
         roi=roi,
     )
 
@@ -197,11 +197,6 @@ class TestStateMachine:
         safety, events = zone_update(state, detection(0, (QuadrantId.Q0,)), cfg)
         assert safety is SafetyState.RUN  # Q0 is Ignore
         assert [e.kind for e in events] == [ZoneEventKind.ENTERED]
-
-    def test_detection_without_roi_rejected(self):
-        det = Detection(0, False, CombineMode.PARALLEL_OR, 1.0, None, None)
-        with pytest.raises(ValueError, match="quadrant"):
-            zone_update(ZoneState(), det, critical_q3())
 
 
 class TestEventReplay:

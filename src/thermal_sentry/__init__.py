@@ -4,7 +4,7 @@ Two cheap per-frame detectors (background-subtraction movement and quadrant
 region-of-interest) are fused into a hybrid presence verdict that drives a
 quadrant-zone safety state machine. The package also ships a deterministic
 synthetic-scene generator, a confusion-matrix evaluation harness, and a CLI
-for replay, evaluation and benchmarking.
+for replay, evaluation and synthesis.
 """
 
 from .evaluate import (

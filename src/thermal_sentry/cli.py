@@ -1,4 +1,4 @@
-"""Command-line interface: replay detection, evaluation, synthesis, benchmarking.
+"""Command-line interface: replay detection, evaluation and synthesis.
 
 Detection output is NDJSON, one record per line. Per-frame records carry
 exactly the fields {frame, verdict, movement, active_count, quadrant_means,
@@ -18,21 +18,18 @@ from pathlib import Path
 from .evaluate import (
     ConfusionMatrix,
     DatasetError,
-    LatencyStats,
-    Method,
     accuracy,
     format_matrix,
     format_report,
     report_to_dict,
     run_eval,
-    timed_steps,
 )
-from .frame import QUADRANTS, PgmError, ThermalFrame, load_pgm, replay_dir
+from .frame import QUADRANTS, PgmError, replay_dir, replay_files
 from .hybrid import hybrid_step
 from .keyvalue import key_value_lines
 from .motion import MotionConfig, motion_init
 from .roi import RoiConfig
-from .synth import BlobSpec, SceneError, SceneSpec, generate, parse_scene, render_frame
+from .synth import SceneError, generate, parse_scene
 from .zones import ZoneConfig, ZoneState, parse_zone_config, zone_update
 
 EXIT_OK = 0
@@ -41,6 +38,15 @@ EXIT_DATA = 2
 
 CONFIG_ENV = "THERMAL_SENTRY_CONFIG"
 
+_MODES = ("parallel", "sequential")
+
+
+def _mode(text: str) -> str:
+    if text not in _MODES:
+        raise ValueError(text)
+    return text
+
+
 # config-file keys and how to convert their values (CLI flags take precedence)
 _CONFIG_KEYS = {
     "active_delta": int,
@@ -48,7 +54,7 @@ _CONFIG_KEYS = {
     "max_hold_frames": int,
     "roi_ratio": float,
     "roi_min_mean": int,
-    "mode": str,
+    "mode": _mode,
     "zones": str,
 }
 
@@ -62,13 +68,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
 
 
 def _checked(convert, config, field: str):
@@ -119,8 +118,6 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     group.add_argument("--roi-min-mean", default=1, metavar="COUNTS",
                        type=_checked(int, RoiConfig, "min_quadrant_mean"),
                        help="absolute quadrant-mean floor (default 1)")
-    group.add_argument("--mode", choices=["parallel", "sequential"], default="parallel",
-                       help="combine mode: run both methods, or B first (default parallel)")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -132,6 +129,8 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_detect.add_argument("--input-dir", metavar="DIR",
                           help="directory of PGM frames (lexicographic order)")
     p_detect.add_argument("--zones", metavar="FILE", help="zone configuration file")
+    p_detect.add_argument("--mode", choices=_MODES, default="parallel",
+                          help="combine mode: run both methods, or B first (default parallel)")
     p_detect.add_argument("--out", metavar="FILE", help="write NDJSON here instead of stdout")
     p_detect.set_defaults(func=cmd_detect)
 
@@ -150,20 +149,10 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_synth.add_argument("--out-dir", required=True, metavar="DIR", help="dataset output directory")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_bench = sub.add_parser(
-        "bench", parents=[detector], help="measure per-frame detection latency"
-    )
-    p_bench.add_argument("--iterations", type=_positive_int, default=1000, metavar="N",
-                         help="frames to process (default 1000)")
-    p_bench.add_argument("--input-dir", metavar="DIR",
-                         help="frames to cycle through (default: built-in 160x120 scene)")
-    p_bench.add_argument("--out", metavar="FILE", help="also write results as JSON")
-    p_bench.set_defaults(func=cmd_bench)
-
     if defaults:
         # subparsers parse into a fresh namespace, so config-file defaults
         # must be pushed down to each of them, not just the root parser
-        for p in (parser, p_detect, p_eval, p_bench):
+        for p in (parser, p_detect, p_eval):
             p.set_defaults(**defaults)
     return parser
 
@@ -182,8 +171,6 @@ def _load_config_file(path: str) -> dict:
 
 
 def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
-    if args.mode not in ("parallel", "sequential"):
-        raise ValueError(f"{args.mode!r} is not a valid combine mode")
     motion_cfg = MotionConfig(
         active_pixel_delta=args.active_delta,
         active_fraction=args.active_fraction,
@@ -191,17 +178,6 @@ def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
     )
     roi_cfg = RoiConfig(ratio=args.roi_ratio, min_quadrant_mean=args.roi_min_mean)
     return motion_cfg, roi_cfg
-
-
-def _iter_input_frames(args):
-    if args.input_dir:
-        yield from replay_dir(args.input_dir)
-        return
-    for index, path in enumerate(args.frames):
-        frame = load_pgm(path)
-        # the frame is fresh from load_pgm and not yet shared, as in replay_dir
-        object.__setattr__(frame, "frame_index", index)
-        yield frame
 
 
 def cmd_detect(args) -> int:
@@ -216,11 +192,12 @@ def cmd_detect(args) -> int:
     if args.zones:
         zone_cfg = parse_zone_config(Path(args.zones).read_text())
 
+    frames = replay_dir(args.input_dir) if args.input_dir else replay_files(args.frames)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         state = motion_init(motion_cfg)
         zone_state = ZoneState()
-        for frame in _iter_input_frames(args):
+        for frame in frames:
             detection = hybrid_step(state, frame, roi_cfg)
             safety, events = zone_update(zone_state, detection, zone_cfg)
             roi = detection.roi
@@ -256,6 +233,11 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     if args.cells:
+        for flag, value in (("--input-dir", args.input_dir), ("--labels", args.labels),
+                            ("--out", args.out)):
+            if value is not None:
+                print(f"eval: {flag} cannot be combined with --cells", file=sys.stderr)
+                return EXIT_USAGE
         try:
             cells = [int(c) for c in args.cells.split(",")]
             if len(cells) != 4:
@@ -290,59 +272,6 @@ def cmd_synth(args) -> int:
     print(f"wrote {len(dataset.frame_paths)} frames to {dataset.directory}")
     print(f"labels: {positives} positive, {len(dataset.labels) - positives} negative "
           f"({dataset.labels_path})")
-    return EXIT_OK
-
-
-def _bench_frames() -> list[ThermalFrame]:
-    # one walking human plus one static heat source, cycled during the bench
-    spec = SceneSpec(
-        frames=48,
-        ambient=60.0,
-        drift_per_frame=0.05,
-        noise_sigma=1.5,
-        seed=99,
-        blobs=(
-            BlobSpec(900.0, 8.0, ((0, 20.0, 30.0), (47, 140.0, 90.0))),
-            BlobSpec(250.0, 5.0, ((0, 130.0, 20.0),), is_human=False),
-        ),
-    )
-    return [render_frame(spec, t) for t in range(spec.frames)]
-
-
-def cmd_bench(args) -> int:
-    motion_cfg, roi_cfg = _detector_configs(args)
-    if args.input_dir:
-        frames = list(replay_dir(args.input_dir))
-        if not frames:
-            print(f"bench: no frames in {args.input_dir}", file=sys.stderr)
-            return EXIT_DATA
-    else:
-        frames = _bench_frames()
-
-    samples: dict[Method, list[float]] = {m: [] for m in Method}
-    stream = (frames[i % len(frames)] for i in range(args.iterations))
-    for _ in timed_steps(stream, samples, motion_cfg, roi_cfg):
-        pass
-
-    stats = {m: LatencyStats.from_samples(samples[m]) for m in Method}
-    width, height = frames[0].width, frames[0].height
-    print(f"{args.iterations} iterations on {width}x{height} frames")
-    names = {Method.METHOD_A: "method A", Method.METHOD_B: "method B",
-             Method.HYBRID: "hybrid  "}
-    for m in Method:
-        s = stats[m]
-        print(f"  {names[m]}  max {s.max_us:9.1f} us   mean {s.mean_us:9.1f} us   "
-              f"p99 {s.p99_us:9.1f} us")
-    if args.out:
-        payload = {
-            "iterations": args.iterations,
-            "frame_size": [width, height],
-            "latency_us": {
-                m.value: {"max": s.max_us, "mean": s.mean_us, "p99": s.p99_us}
-                for m, s in stats.items()
-            },
-        }
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 

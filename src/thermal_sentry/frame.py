@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -167,18 +167,22 @@ def write_pgm(frame: ThermalFrame, path: str | Path) -> None:
 
 
 def replay_dir(path: str | Path, pattern: str = "*.pgm") -> Iterator[ThermalFrame]:
-    """Yield frames from a directory in lexicographic filename order.
-
-    Frame indices are (re)assigned sequentially from 0, which makes the file
-    order the stream order. A missing directory and a dimension change
-    mid-stream are errors.
-    """
+    """Yield frames from a directory in lexicographic filename order, as
+    `replay_files` does. A missing directory is an error."""
     directory = Path(path)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory}: no such directory")
+    yield from replay_files(sorted(directory.glob(pattern), key=lambda file: file.name))
+
+
+def replay_files(paths: Iterable[str | Path]) -> Iterator[ThermalFrame]:
+    """Yield frames from files in the given order.
+
+    Frame indices are (re)assigned sequentially from 0, which makes the file
+    order the stream order. A dimension change mid-stream is an error.
+    """
     dims: tuple[int, int] | None = None
-    files = sorted(directory.glob(pattern), key=lambda file: file.name)
-    for index, file in enumerate(files):
+    for index, file in enumerate(paths):
         frame = load_pgm(file)
         if dims is None:
             dims = (frame.width, frame.height)

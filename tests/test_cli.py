@@ -221,10 +221,15 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         assert code == 2
         assert "pgm" in err.lower()
 
-    @pytest.mark.parametrize("command", ["detect", "bench"])
+    @pytest.mark.parametrize("command", ["detect", "eval"])
     def test_missing_input_dir_is_data_error(self, tmp_path, capsys, command):
         missing = tmp_path / "absent"
-        code, out, err = run_cli(capsys, command, "--input-dir", str(missing))
+        argv = [command, "--input-dir", str(missing)]
+        if command == "eval":
+            labels = tmp_path / "labels.csv"
+            labels.write_text("frame,present,quadrants\n0,0,\n")
+            argv += ["--labels", str(labels)]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "no such directory" in err
@@ -285,6 +290,18 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         assert code == 2
         assert "dimension change" in err
 
+    def test_mid_stream_dimension_change_in_frame_files_aborts(self, tmp_path, capsys):
+        import numpy as np
+        from thermal_sentry import ThermalFrame, write_pgm
+
+        write_pgm(ThermalFrame(2, 2, np.zeros((2, 2), np.uint16)), tmp_path / "a.pgm")
+        write_pgm(ThermalFrame(4, 2, np.zeros((2, 4), np.uint16)), tmp_path / "b.pgm")
+        code, _, err = run_cli(
+            capsys, "detect", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")
+        )
+        assert code == 2
+        assert "b.pgm: dimension change mid-stream" in err
+
 
 class TestEval:
     def test_end_to_end_report(self, tmp_path, capsys):
@@ -338,6 +355,19 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval")
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--input-dir", "--labels", "--out"])
+    def test_dataset_flag_with_cells_is_usage_error(self, tmp_path, capsys, flag):
+        target = tmp_path / "given"
+        code, out, err = run_cli(capsys, "eval", "--cells", "1,2,3,4", flag, str(target))
+        assert code == 1
+        assert out == "" and flag in err
+        assert not target.exists()
+
+    def test_mode_is_not_an_eval_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--mode", "sequential", "--cells", "1,2,3,4"])
+        assert exc.value.code == 1
+
 
 class TestSynth:
     def test_summary_and_files(self, tmp_path, capsys):
@@ -363,29 +393,6 @@ class TestSynth:
         assert code == 2
 
 
-class TestBench:
-    def test_default_scene_bench(self, capsys):
-        code, out, _ = run_cli(capsys, "bench", "--iterations", "40")
-        assert code == 0
-        assert "40 iterations on 160x120 frames" in out
-        assert "method A" in out and "method B" in out and "hybrid" in out
-
-    def test_zero_iterations_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--iterations", "0"])
-        assert exc.value.code == 1
-
-    def test_bench_json_out(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        code, _, _ = run_cli(
-            capsys, "bench", "--iterations", "10", "--out", str(out_file)
-        )
-        assert code == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["iterations"] == 10
-        assert set(payload["latency_us"]) == {"method_a", "method_b", "hybrid"}
-
-
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -395,7 +402,8 @@ class TestUsage:
     def test_no_subcommand_prints_help(self, capsys):
         code, out, _ = run_cli(capsys)
         assert code == 1
-        assert "detect" in out and "eval" in out
+        assert "detect" in out and "eval" in out and "synth" in out
+        assert "bench" not in out
 
     def test_bad_flag_value(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -457,13 +465,17 @@ class TestConfigFile:
     def test_bad_config_key_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "sentry.cfg"
         config.write_text("volume=11\n")
-        code, _, err = run_cli(capsys, "--config", str(config), "bench")
+        code, _, err = run_cli(
+            capsys, "--config", str(config), "detect", "--input-dir", str(tmp_path)
+        )
         assert code == 2
 
     def test_bad_config_named_with_equals_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "sentry.cfg"
         config.write_text("volume=11\n")
-        code, _, err = run_cli(capsys, f"--config={config}", "bench", "--iterations", "1")
+        code, _, err = run_cli(
+            capsys, f"--config={config}", "detect", "--input-dir", str(tmp_path)
+        )
         assert code == 2
         assert "volume" in err
 
@@ -472,5 +484,19 @@ class TestConfigFile:
         config = tmp_path / "sentry.cfg"
         config.write_text("volume=11\n")
         with pytest.raises(SystemExit) as exc:
-            main([f"--conf={config}", "bench", "--iterations", "1"])
+            main([f"--conf={config}", "detect", "--input-dir", str(tmp_path)])
         assert exc.value.code == 1
+
+    def test_bad_mode_in_config_is_data_error_for_every_command(self, tmp_path, capsys):
+        config = tmp_path / "sentry.cfg"
+        config.write_text("mode=foo\n")
+        scene = tmp_path / "s.scene"
+        scene.write_text(STATIC_SCENE)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "--config", str(config),
+            "synth", "--scene", str(scene), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert out == "" and "mode" in err
+        assert not out_dir.exists()

@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Mapping
 
 from .evaluate import (
     ConfusionMatrix,
@@ -24,7 +27,7 @@ from .evaluate import (
     report_to_dict,
     run_eval,
 )
-from .frame import QUADRANTS, PgmError, replay_dir, replay_files
+from .frame import QUADRANTS, PgmError, QuadrantId, replay_dir, replay_files
 from .hybrid import hybrid_step
 from .keyvalue import key_value_lines
 from .motion import MotionConfig, motion_init
@@ -59,8 +62,15 @@ _CONFIG_KEYS = {
 }
 
 
-# (quadrant, record key) pairs, in record order
-_QUADRANT_KEYS = tuple((q, q.name) for q in QUADRANTS)
+# A detection record as json.dumps writes it, with the fields in the order
+# the module docstring lists them; only the values vary from frame to frame.
+_RECORD = (
+    '{{"frame": {}, "verdict": {}, "movement": {}, "active_count": {}, '
+    '"quadrant_means": {{"Q0": {}, "Q1": {}, "Q2": {}, "Q3": {}}}, '
+    '"flags": {{"Q0": {}, "Q1": {}, "Q2": {}, "Q3": {}}}, '
+    '"state": "{}", "elapsed_us": {}}}\n'
+).format
+_LITERAL = {True: "true", False: "false", None: "null"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,6 +190,60 @@ def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
     return motion_cfg, roi_cfg
 
 
+def record_line(
+    frame: int,
+    verdict: bool,
+    movement: bool | None,
+    active_count: int | None,
+    quadrant_means: Mapping[QuadrantId, float],
+    flags: Mapping[QuadrantId, bool],
+    state: str,
+    elapsed_us: float,
+) -> str:
+    """One detection record as an NDJSON line: the bytes of `json.dumps` of
+    the record, with means and elapsed_us rounded to 3 decimals."""
+    q0, q1, q2, q3 = QUADRANTS
+    return _RECORD(
+        frame, _LITERAL[verdict], _LITERAL[movement],
+        "null" if active_count is None else active_count,
+        float.__repr__(round(quadrant_means[q0], 3)),
+        float.__repr__(round(quadrant_means[q1], 3)),
+        float.__repr__(round(quadrant_means[q2], 3)),
+        float.__repr__(round(quadrant_means[q3], 3)),
+        _LITERAL[flags[q0]], _LITERAL[flags[q1]], _LITERAL[flags[q2]], _LITERAL[flags[q3]],
+        state, float.__repr__(round(elapsed_us, 3)),
+    )
+
+
+def _open_out(path: str):
+    """The stream for `detect --out`, and the temporary file behind it when
+    it is to replace `path` once the run succeeds (else None).
+
+    A regular file or a path not there yet is replaced, so a failed run
+    leaves an existing file as it was; the new file gets the mode
+    `open(path, "w")` would give it. Anything else, such as a FIFO or the
+    symlink /dev/stdout, is written in place, and so is a path next to
+    which no temporary file can be created.
+    """
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError:
+        mode = None
+    if mode is None or stat.S_ISREG(mode):
+        directory, name = os.path.split(path)
+        temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        try:
+            # as for open(path, "w"), a new file is 0o666 less the umask
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError:
+            pass
+        else:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))
+            return os.fdopen(fd, "w"), temp
+    return open(path, "w"), None
+
+
 def cmd_detect(args) -> int:
     if bool(args.input_dir) == bool(args.frames):
         print("detect: exactly one of --input-dir or frame files required",
@@ -193,41 +257,42 @@ def cmd_detect(args) -> int:
         zone_cfg = parse_zone_config(Path(args.zones).read_text())
 
     frames = replay_dir(args.input_dir) if args.input_dir else replay_files(args.frames)
-    out = open(args.out, "w") if args.out else sys.stdout
+    target, temp = _open_out(args.out) if args.out else (nullcontext(sys.stdout), None)
     try:
-        state = motion_init(motion_cfg)
-        zone_state = ZoneState()
-        for frame in frames:
-            detection = hybrid_step(state, frame, roi_cfg)
-            safety, events = zone_update(zone_state, detection, zone_cfg)
-            roi = detection.roi
-            motion = None if sequential and roi.any else detection.motion
-            record = {
-                "frame": detection.frame_index,
-                "verdict": detection.verdict,
-                "movement": motion.movement if motion else None,
-                "active_count": motion.active_count if motion else None,
-                "quadrant_means": {
-                    key: round(roi.quadrant_means[q], 3) for q, key in _QUADRANT_KEYS
-                },
-                "flags": {key: roi.flags[q] for q, key in _QUADRANT_KEYS},
-                "state": safety.label,
-                "elapsed_us": round(detection.elapsed_us, 3),
-            }
-            out.write(json.dumps(record) + "\n")
-            for event in events:
-                # SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums;
-                # compare against None explicitly
-                out.write(json.dumps({
-                    "frame": event.frame_index,
-                    "event": event.kind.value,
-                    "quadrant": event.quadrant.name if event.quadrant is not None else None,
-                    "from_state": event.from_state.label if event.from_state is not None else None,
-                    "to_state": event.to_state.label if event.to_state is not None else None,
-                }) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with target as out:
+            state = motion_init(motion_cfg)
+            zone_state = ZoneState()
+            for frame in frames:
+                detection = hybrid_step(state, frame, roi_cfg)
+                safety, events = zone_update(zone_state, detection, zone_cfg)
+                roi = detection.roi
+                motion = None if sequential and roi.any else detection.motion
+                out.write(record_line(
+                    detection.frame_index,
+                    detection.verdict,
+                    motion.movement if motion else None,
+                    motion.active_count if motion else None,
+                    roi.quadrant_means,
+                    roi.flags,
+                    safety.label,
+                    detection.elapsed_us,
+                ))
+                for event in events:
+                    # SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums;
+                    # compare against None explicitly
+                    out.write(json.dumps({
+                        "frame": event.frame_index,
+                        "event": event.kind.value,
+                        "quadrant": event.quadrant.name if event.quadrant is not None else None,
+                        "from_state": event.from_state.label if event.from_state is not None else None,
+                        "to_state": event.to_state.label if event.to_state is not None else None,
+                    }) + "\n")
+        if temp:
+            os.replace(temp, args.out)
+    except BaseException:
+        if temp:
+            os.unlink(temp)
+        raise
     return EXIT_OK
 
 

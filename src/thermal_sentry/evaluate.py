@@ -127,7 +127,10 @@ def read_labels(path: str | Path) -> list[GroundTruthLabel]:
     """Read a `frame,present,quadrants` CSV (quadrants `;`-separated)."""
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # such as a field over csv's size limit
+            raise DatasetError(f"{path}: {exc}") from None
     if not rows or [c.strip().lower() for c in rows[0]] != ["frame", "present", "quadrants"]:
         raise DatasetError(f"{path}: expected header 'frame,present,quadrants'")
     labels: list[GroundTruthLabel] = []

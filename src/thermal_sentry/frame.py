@@ -14,6 +14,8 @@ Netpbm specifies. Files are always written as 16-bit P5 with maxval 65535;
 
 from __future__ import annotations
 
+import fnmatch
+import os
 import re
 from dataclasses import dataclass
 from enum import IntEnum
@@ -106,15 +108,32 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
     return _own_frame(diff, a.frame_index)
 
 
+# (header bytes, parsed header) of the last file that decoded. The header
+# bytes run to the byte after maxval, which `_NUMBER`'s lookahead reads.
+_last_header: tuple[bytes, tuple[bytes, int, int, int, int]] | None = None
+
+
 def load_pgm(path: str | Path) -> ThermalFrame:
     """Load a P2 or P5 PGM file.
 
     8-bit files (maxval < 256) are widened to 16-bit storage without
     rescaling: a stored 255 stays 255.
+
+    A stream's frames share one header, so it is parsed once: a file whose
+    leading bytes equal the header of the last file that decoded reuses
+    that parse, because equal bytes parse the same. The header is kept only
+    after its file has decoded, and the checks on the payload run on every
+    file.
     """
+    global _last_header
     with open(path, "rb") as fh:
         data = fh.read()
-    magic, width, height, maxval, pos = _parse_header(path, data)
+    last = _last_header
+    if last is not None and data.startswith(last[0]):
+        header = last[1]
+    else:
+        header = _parse_header(path, data)
+    magic, width, height, maxval, pos = header
     if not 0 < maxval <= MAX_COUNT:
         raise PgmError(f"{path}: unsupported maxval {maxval}")
     if width < 2 or height < 2 or width % 2 or height % 2:
@@ -157,6 +176,7 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     # a full-range 16-bit maxval admits every stored value
     if maxval < MAX_COUNT and int(values.max()) > maxval:
         raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
+    _last_header = (data[: pos + 1], header)
     return _own_frame(values.reshape(height, width))
 
 
@@ -172,7 +192,9 @@ def replay_dir(path: str | Path, pattern: str = "*.pgm") -> Iterator[ThermalFram
     directory = Path(path)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory}: no such directory")
-    yield from replay_files(sorted(directory.glob(pattern), key=lambda file: file.name))
+    root = str(directory)
+    names = sorted(fnmatch.filter(os.listdir(root), pattern))
+    yield from replay_files(os.path.join(root, name) for name in names)
 
 
 def replay_files(paths: Iterable[str | Path]) -> Iterator[ThermalFrame]:

@@ -52,6 +52,14 @@ class BlobSpec:
     is_human: bool = True
 
     def __post_init__(self) -> None:
+        # NaN slips through every check below, and neither NaN nor infinity
+        # renders to pixel values
+        if not math.isfinite(self.amplitude):
+            raise SceneError("blob amplitude must be finite")
+        if not math.isfinite(self.sigma):
+            raise SceneError("blob sigma must be finite")
+        if not all(math.isfinite(v) for _, x, y in self.path for v in (x, y)):
+            raise SceneError("waypoint x and y must be finite")
         if self.amplitude <= 0:
             raise SceneError("blob amplitude must be positive")
         if self.sigma <= 0:
@@ -76,6 +84,9 @@ class SceneSpec:
     blobs: tuple[BlobSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("fps", "ambient", "drift_per_frame", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise SceneError(f"{name} must be finite")
         if self.frames < 1:
             raise SceneError("scene needs at least one frame")
         if self.width < 2 or self.height < 2 or self.width % 2 or self.height % 2:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import pytest
 
@@ -164,6 +166,93 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         lines = out_file.read_text().splitlines()
         assert len(lines) == 10
         assert all(json.loads(line) for line in lines)
+
+    @pytest.mark.parametrize("failure", ["missing input dir", "dimension change"])
+    def test_failed_run_leaves_the_out_file_as_it_was(self, tmp_path, capsys, failure):
+        import numpy as np
+        from thermal_sentry import ThermalFrame, write_pgm
+
+        frames = tmp_path / "frames"
+        if failure == "dimension change":  # fails after a record is written
+            frames.mkdir()
+            write_pgm(ThermalFrame(4, 4, np.zeros((4, 4), np.uint16)), frames / "a.pgm")
+            write_pgm(ThermalFrame(6, 4, np.zeros((4, 6), np.uint16)), frames / "b.pgm")
+        out_file = tmp_path / "run.ndjson"
+        out_file.write_bytes(b"earlier run\n")
+        code, _, _ = run_cli(
+            capsys, "detect", "--input-dir", str(frames), "--out", str(out_file)
+        )
+        assert code == 2
+        assert out_file.read_bytes() == b"earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["run.ndjson"] + (["frames"] if frames.exists() else [])
+        )
+
+    def test_successful_run_replaces_the_out_file(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        capsys.readouterr()
+        code, expected, _ = run_cli(capsys, "detect", "--input-dir", str(data))
+        assert code == 0
+        out_file = tmp_path / "run.ndjson"
+        out_file.write_text("earlier run, longer than nothing\n" * 200)
+        out_file.chmod(0o604)
+        code, _, _ = run_cli(
+            capsys, "detect", "--input-dir", str(data), "--out", str(out_file)
+        )
+        assert code == 0
+
+        def strip_elapsed(text):
+            return [{k: v for k, v in json.loads(line).items() if k != "elapsed_us"}
+                    for line in text.splitlines()]
+
+        assert strip_elapsed(out_file.read_text()) == strip_elapsed(expected)
+        # an existing file keeps its mode, a new one gets 0o666 less the umask
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o604
+        new_file = tmp_path / "new.ndjson"
+        old_umask = os.umask(0o027)
+        try:
+            code, _, _ = run_cli(
+                capsys, "detect", "--input-dir", str(data), "--out", str(new_file)
+            )
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        assert stat.S_IMODE(new_file.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "new.ndjson", "run.ndjson", "scene", "scene.scene"
+        ]
+
+    def test_fifo_and_symlink_out_are_written_in_place(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        capsys.readouterr()
+        code, expected, _ = run_cli(capsys, "detect", "--input-dir", str(data))
+        assert code == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader is open, so writing does not block; the records fit the
+        # pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(
+                capsys, "detect", "--input-dir", str(data), "--out", str(fifo)
+            )
+            written = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert len(written.splitlines()) == len(expected.splitlines())
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+        target = tmp_path / "target.ndjson"
+        target.write_text("earlier run\n")
+        link = tmp_path / "link.ndjson"
+        link.symlink_to(target)
+        code, _, _ = run_cli(
+            capsys, "detect", "--input-dir", str(data), "--out", str(link)
+        )
+        assert code == 0
+        assert link.is_symlink()
+        assert len(target.read_text().splitlines()) == len(expected.splitlines())
 
     def test_sequential_mode_withholds_movement_fields(self, tmp_path, capsys):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
@@ -391,6 +480,17 @@ class TestSynth:
             capsys, "synth", "--scene", str(scene), "--out-dir", str(tmp_path / "x")
         )
         assert code == 2
+
+    def test_non_finite_scene_number_is_data_error(self, tmp_path, capsys):
+        scene = tmp_path / "nan.scene"
+        scene.write_text("frames=2\nwidth=4\nheight=4\nambient=nan\n")
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(
+            capsys, "synth", "--scene", str(scene), "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert "ambient must be finite" in err
+        assert not out_dir.exists()
 
 
 class TestUsage:

@@ -7,15 +7,23 @@ sums, an int32-widened absolute difference, the byte-at-a-time PGM
 header tokenizer and a P5 payload cast straight from the file bytes at
 whatever offset the header leaves. Every result must be identical,
 boundaries included.
+
+The per-stream shortcuts of `detect` are checked the same way: the PGM
+header parsed once per stream against a fresh parse per file, the
+directory listing against `pathlib` globbing, and the record formatter
+against `json.dumps`.
 """
 
+import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermal_sentry import (
@@ -31,7 +39,9 @@ from thermal_sentry import (
     motion_step,
     roi_analyze,
 )
-from thermal_sentry.frame import _parse_header
+from thermal_sentry import frame as frame_module
+from thermal_sentry.cli import record_line
+from thermal_sentry.frame import QUADRANTS, _parse_header, replay_dir
 
 # ---------------------------------------------------------------- reference
 
@@ -452,3 +462,203 @@ class TestRoiAccumulatorAgainstReference:
         assert got == reference_roi_analyze(frame)
         if fill == "all":
             assert got.quadrant_means == {q: 65535.0 for q in QuadrantId}
+
+
+# ---------------------------------------------------------------- header memo
+
+
+def load_outcome(path):
+    """What loading a file gives: its dimensions and pixels, or the error."""
+    try:
+        frame = load_pgm(path)
+    except PgmError as exc:
+        return str(exc)
+    return frame.width, frame.height, frame.pixels.tobytes()
+
+
+# Few choices per header piece, so that files in a sequence often share
+# leading bytes: one header before another payload, a maxval that is a
+# prefix of another ("6553" of "65535"), a header cut short.
+header_starts = st.tuples(
+    st.sampled_from([b"P2", b"P5"]),
+    st.sampled_from([b" ", b"\n", b"#c\n"]),
+    st.sampled_from([b"2", b"4", b"3"]),
+    st.sampled_from([b" ", b"\t", b" #x\n "]),
+    st.sampled_from([b"2", b"4"]),
+    st.sampled_from([b"\n", b"  "]),
+).map(b"".join)
+maxval_tokens = st.sampled_from(
+    [b"0", b"1", b"15", b"255", b"2550", b"256", b"6553", b"65535", b"65536", b"007"]
+)
+after_maxval = st.sampled_from([b"\n", b" ", b"\r", b"#", b"#c\n", b"7", b""])
+
+
+@st.composite
+def pgm_sequences(draw):
+    """A stream of P2/P5 files drawn from up to three header starts, with
+    payloads that fit their header, or break one of its checks, or stop
+    short."""
+    starts = draw(st.lists(header_starts, min_size=1, max_size=3))
+    files = []
+    for _ in range(draw(st.integers(1, 8))):
+        start = draw(st.sampled_from(starts))
+        maxval_token = draw(maxval_tokens)
+        header = start + maxval_token + draw(after_maxval)
+        magic, maxval = start[:2], int(maxval_token)
+        count = 2 * 4  # the payload fits a 2x4 or 4x2 header, not others
+        # now and then one sample above maxval
+        samples = draw(st.lists(st.integers(0, min(maxval + 1, 65535)),
+                                min_size=count, max_size=count))
+        if magic == b"P5":
+            itemsize = 2 if maxval > 255 else 1
+            payload = b"".join(
+                min(s, 256**itemsize - 1).to_bytes(itemsize, "big") for s in samples
+            )
+        else:
+            payload = b" ".join(b"%d" % s for s in samples) + b"\n"
+        data = header + payload
+        cut = draw(st.integers(0, 5))
+        if cut == 0:  # the file ends right after maxval
+            data = start + maxval_token
+        elif cut == 1:
+            data = data[: draw(st.integers(0, len(data)))]
+        files.append(data)
+    return files
+
+
+class TestHeaderMemoAgainstFreshParse:
+    @settings(max_examples=200, deadline=None)
+    @given(files=pgm_sequences())
+    # a file that ends right after maxval, then a valid file it is a prefix of
+    @example(files=[b"P5\n2 2\n6553", b"P5\n2 2\n65535\n" + bytes(8)])
+    @example(files=[b"P2 2 2 255\n1 2 3 4\n", b"P2 2 2 2550\n1 2 3 4\n"])
+    def test_a_stream_loads_as_files_parsed_one_by_one(self, tmp_path_factory, files):
+        directory = tmp_path_factory.mktemp("memo")
+        paths = []
+        for i, data in enumerate(files):
+            paths.append(directory / f"{i}.pgm")
+            paths[-1].write_bytes(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frame_module, "_last_header", None)
+            in_order = [load_outcome(path) for path in paths]
+            fresh = []
+            for path in paths:
+                patch.setattr(frame_module, "_last_header", None)
+                fresh.append(load_outcome(path))
+        assert in_order == fresh
+
+
+# ---------------------------------------------------------------- listing
+
+
+def reference_glob_listing(path, pattern="*.pgm"):
+    """The files `replay_dir` read when it listed with pathlib."""
+    directory = Path(path)
+    return [str(p) for p in sorted(directory.glob(pattern), key=lambda file: file.name)]
+
+
+def listed_by_replay_dir(path, pattern="*.pgm"):
+    """The files `replay_dir` opens, in order, without decoding them."""
+    opened = []
+
+    def fake_load(file):
+        opened.append(str(file))
+        return ThermalFrame(2, 2, np.zeros((2, 2), np.uint16))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frame_module, "load_pgm", fake_load)
+        for _ in replay_dir(path, pattern):
+            pass
+    return opened
+
+
+class TestListingAgainstGlob:
+    NAMES = [
+        "frame_000002.pgm", "frame_000010.pgm", "frame_000001.pgm", ".hidden.pgm",
+        ".pgm", "UPPER.PGM", "mixed.Pgm", "größe.pgm", "日本.pgm", "Ω.pgm",
+        "a b.pgm", "[x].pgm", "frame.pgm.bak", "notes.txt", "pgm", "-1.pgm",
+    ]
+
+    @pytest.fixture
+    def directory(self, tmp_path):
+        root = tmp_path / "frames"
+        root.mkdir()
+        for name in self.NAMES:
+            (root / name).write_bytes(b"")
+        (root / "d.pgm").mkdir()  # a directory whose name matches
+        (root / "sub").mkdir()
+        (root / "sub" / "nested.pgm").write_bytes(b"")
+        (root / "broken.pgm").symlink_to(root / "absent")
+        # a name that is not valid UTF-8
+        os.close(os.open(os.fsencode(root) + b"/\xff.pgm", os.O_CREAT | os.O_WRONLY))
+        return root
+
+    @pytest.mark.parametrize("pattern", ["*.pgm", "*.PGM", "frame_*", "?.pgm", "[.a-z]*"])
+    def test_same_files_in_the_same_order(self, directory, pattern):
+        expected = reference_glob_listing(directory, pattern)
+        assert len(expected) >= 1
+        assert listed_by_replay_dir(directory, pattern) == expected
+
+    def test_every_spelling_of_the_directory(self, monkeypatch, directory):
+        monkeypatch.chdir(directory.parent)
+        for spelling in (directory, str(directory), f"{directory}/", f"{directory}//",
+                         "frames", "./frames/", "frames/../frames"):
+            expected = reference_glob_listing(spelling)
+            assert listed_by_replay_dir(spelling) == expected, spelling
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.sets(st.text(alphabet="pgmPGM.a_[]é", min_size=1, max_size=6),
+                         max_size=12))
+    def test_random_names(self, tmp_path_factory, names):
+        root = tmp_path_factory.mktemp("names")
+        for name in names - {".", ".."}:
+            (root / name).write_bytes(b"")
+        expected = reference_glob_listing(root)
+        assert listed_by_replay_dir(root) == expected
+
+
+# ---------------------------------------------------------------- records
+
+
+def reference_record_line(frame, verdict, movement, active_count, means, flags,
+                          state, elapsed_us):
+    """The record as `detect` built it and `json.dumps` wrote it."""
+    return json.dumps({
+        "frame": frame,
+        "verdict": verdict,
+        "movement": movement,
+        "active_count": active_count,
+        "quadrant_means": {q.name: round(means[q], 3) for q in QUADRANTS},
+        "flags": {q.name: flags[q] for q in QUADRANTS},
+        "state": state,
+        "elapsed_us": round(elapsed_us, 3),
+    }) + "\n"
+
+
+# floats whose rounding or repr is easy to get wrong
+record_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 1e16, 1.5e16, 1e22, 0.1 + 0.2, 2.675,
+                     1.0005, 0.0005, 0.0015, 123.4565, 9.9995, 65535.0, 4.5e-4]),
+    st.integers(0, 10**7).map(lambda k: k / 1000 + 0.0005),
+    st.integers(0, 65535 * 10**4).map(lambda k: k / 10**4),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+)
+
+
+class TestRecordLineAgainstJson:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        frame=st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 2**70)),
+        verdict=st.booleans(),
+        motion=st.one_of(st.none(), st.tuples(st.booleans(), st.integers(0, 2**40))),
+        means=st.tuples(*[record_floats] * 4),
+        flags=st.tuples(*[st.booleans()] * 4),
+        state=st.sampled_from(["Run", "Slow", "Stop"]),
+        elapsed_us=record_floats,
+    )
+    def test_byte_equal_to_json_dumps(self, frame, verdict, motion, means, flags,
+                                      state, elapsed_us):
+        movement, active_count = motion if motion else (None, None)
+        args = (frame, verdict, movement, active_count, dict(zip(QUADRANTS, means)),
+                dict(zip(QUADRANTS, flags)), state, elapsed_us)
+        assert record_line(*args) == reference_record_line(*args)

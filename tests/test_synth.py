@@ -304,6 +304,26 @@ blob=250,5,object,0:130:20
         with pytest.raises(SceneError, match="waypoint"):
             parse_scene("frames=5\nblob=10,2,human,0:1\n")
 
+    # every float a scene file sets, with the setting or blob line that
+    # carries it; VALUE is the number under test
+    NON_FINITE_FIELDS = {
+        "ambient": "ambient=VALUE",
+        "drift": "drift=VALUE",
+        "noise_sigma": "noise_sigma=VALUE",
+        "fps": "fps=VALUE",
+        "blob amplitude": "blob=VALUE,2,human,0:4:4",
+        "blob sigma": "blob=900,VALUE,human,0:4:4",
+        "waypoint x": "blob=900,2,human,0:4:4,3:VALUE:4",
+        "waypoint y": "blob=900,2,human,0:4:4,3:4:VALUE",
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    def test_non_finite_number_rejected(self, field, value):
+        line = self.NON_FINITE_FIELDS[field].replace("VALUE", value)
+        with pytest.raises(SceneError, match="finite"):
+            parse_scene(f"frames=4\nwidth=8\nheight=8\n{line}\n")
+
     def test_bad_number_rejected(self):
         with pytest.raises(SceneError, match="bad value"):
             parse_scene("frames=abc\n")

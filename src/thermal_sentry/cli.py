@@ -30,7 +30,7 @@ from .evaluate import (
 from .frame import QUADRANTS, PgmError, QuadrantId, replay_dir, replay_files
 from .hybrid import hybrid_step
 from .keyvalue import key_value_lines
-from .motion import MotionConfig, motion_init
+from .motion import MotionConfig, MotionState
 from .roi import RoiConfig
 from .synth import SceneError, generate, parse_scene
 from .zones import ZoneConfig, ZoneState, parse_zone_config, zone_update
@@ -50,6 +50,12 @@ def _mode(text: str) -> str:
     return text
 
 
+def _file(text: str) -> str:
+    if not text:  # no zone file would leave every quadrant ignored
+        raise argparse.ArgumentTypeError("empty file name")
+    return text
+
+
 # config-file keys and how to convert their values (CLI flags take precedence)
 _CONFIG_KEYS = {
     "active_delta": int,
@@ -58,7 +64,7 @@ _CONFIG_KEYS = {
     "roi_ratio": float,
     "roi_min_mean": int,
     "mode": _mode,
-    "zones": str,
+    "zones": _file,
 }
 
 
@@ -138,7 +144,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
                           help="individual frame files, in order")
     p_detect.add_argument("--input-dir", metavar="DIR",
                           help="directory of PGM frames (lexicographic order)")
-    p_detect.add_argument("--zones", metavar="FILE", help="zone configuration file")
+    p_detect.add_argument("--zones", metavar="FILE", type=_file, help="zone configuration file")
     p_detect.add_argument("--mode", choices=_MODES, default="parallel",
                           help="combine mode: run both methods, or B first (default parallel)")
     p_detect.add_argument("--out", metavar="FILE", help="write NDJSON here instead of stdout")
@@ -171,11 +177,13 @@ def _load_config_file(path: str) -> dict:
     defaults = {}
     for lineno, raw, key, value in key_value_lines(Path(path).read_text()):
         key = key.replace("-", "_")
-        if value is None or key not in _CONFIG_KEYS:
+        if value is None:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {raw!r}")
         try:
             defaults[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
     return defaults
 
@@ -260,7 +268,7 @@ def cmd_detect(args) -> int:
     target, temp = _open_out(args.out) if args.out else (nullcontext(sys.stdout), None)
     try:
         with target as out:
-            state = motion_init(motion_cfg)
+            state = MotionState(motion_cfg)
             zone_state = ZoneState()
             for frame in frames:
                 detection = hybrid_step(state, frame, roi_cfg)

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .frame import QuadrantId, ThermalFrame, replay_dir
-from .motion import MotionConfig, MotionResult, motion_init, motion_step
+from .motion import MotionConfig, MotionResult, MotionState, motion_step
 from .roi import RoiConfig, RoiResult, roi_analyze
 
 
@@ -186,7 +186,7 @@ def timed_steps(
     Each frame appends the time of method B, of method A and of the two back
     to back (the hybrid), in microseconds, to `samples`.
     """
-    state = motion_init(motion_config)
+    state = MotionState(motion_config or MotionConfig())
     for frame in frames:
         t0 = time.perf_counter_ns()
         roi = roi_analyze(frame, roi_config)

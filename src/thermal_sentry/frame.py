@@ -186,14 +186,14 @@ def write_pgm(frame: ThermalFrame, path: str | Path) -> None:
     Path(path).write_bytes(header + frame.pixels.astype(">u2").tobytes())
 
 
-def replay_dir(path: str | Path, pattern: str = "*.pgm") -> Iterator[ThermalFrame]:
-    """Yield frames from a directory in lexicographic filename order, as
-    `replay_files` does. A missing directory is an error."""
+def replay_dir(path: str | Path) -> Iterator[ThermalFrame]:
+    """Yield the `*.pgm` frames of a directory in lexicographic filename
+    order, as `replay_files` does. A missing directory is an error."""
     directory = Path(path)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory}: no such directory")
     root = str(directory)
-    names = sorted(fnmatch.filter(os.listdir(root), pattern))
+    names = sorted(fnmatch.filter(os.listdir(root), "*.pgm"))
     yield from replay_files(os.path.join(root, name) for name in names)
 
 

@@ -69,14 +69,9 @@ class MotionState:
     """Mutable per-stream detector state. One instance per frame stream;
     not safe for concurrent mutation."""
 
-    config: MotionConfig
+    config: MotionConfig = MotionConfig()
     background: ThermalFrame | None = None
     frames_since_update: int = 0
-
-
-def motion_init(config: MotionConfig | None = None) -> MotionState:
-    """Fresh state with no background yet."""
-    return MotionState(config=config or MotionConfig())
 
 
 @lru_cache(maxsize=64, typed=True)

@@ -76,7 +76,6 @@ class SceneSpec:
     frames: int
     width: int = 160
     height: int = 120
-    fps: float = 4.0
     ambient: float = 0.0
     drift_per_frame: float = 0.0
     noise_sigma: float = 0.0
@@ -84,15 +83,13 @@ class SceneSpec:
     blobs: tuple[BlobSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("fps", "ambient", "drift_per_frame", "noise_sigma"):
+        for name in ("ambient", "drift_per_frame", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise SceneError(f"{name} must be finite")
         if self.frames < 1:
             raise SceneError("scene needs at least one frame")
         if self.width < 2 or self.height < 2 or self.width % 2 or self.height % 2:
             raise SceneError("scene dimensions must be even and >= 2")
-        if self.fps <= 0:
-            raise SceneError("fps must be positive")
         if self.noise_sigma < 0:
             raise SceneError("noise_sigma must be >= 0")
 
@@ -182,26 +179,27 @@ def frame_label(spec: SceneSpec, frame_index: int) -> GroundTruthLabel:
 
 
 def generate(spec: SceneSpec, out_dir: str | Path) -> LabeledDataset:
-    """Write the scene as PGM frames plus a labels CSV."""
+    """Write the scene as PGM frames plus a labels CSV. A `*.pgm` file in
+    `out_dir` that the scene does not write is a FileExistsError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: list[Path] = []
-    labels: list[GroundTruthLabel] = []
-    for t in range(spec.frames):
-        path = out / f"frame_{t:06d}.pgm"
+    paths = tuple(out / f"frame_{t:06d}.pgm" for t in range(spec.frames))
+    # checked before writing: a replay of `out_dir` would read it as a frame
+    stale = sorted({p.name for p in out.glob("*.pgm")} - {p.name for p in paths})
+    if stale:
+        raise FileExistsError(f"{out / stale[0]}: not a frame of this scene")
+    for t, path in enumerate(paths):
         write_pgm(render_frame(spec, t), path)
-        paths.append(path)
-        labels.append(frame_label(spec, t))
+    labels = tuple(frame_label(spec, t) for t in range(spec.frames))
     labels_path = out / "labels.csv"
     write_labels(labels, labels_path)
-    return LabeledDataset(out, labels_path, tuple(paths), tuple(labels))
+    return LabeledDataset(out, labels_path, paths, labels)
 
 
 _SCENE_KEYS = {
     "width": int,
     "height": int,
     "frames": int,
-    "fps": float,
     "ambient": float,
     "drift": float,
     "noise_sigma": float,
@@ -213,8 +211,8 @@ _KEY_TO_FIELD = {"drift": "drift_per_frame"}
 def parse_scene(text: str) -> SceneSpec:
     """Parse a scene file.
 
-    key=value lines for the scalar settings (width, height, frames, fps,
-    ambient, drift, noise_sigma, seed) plus one line per blob:
+    key=value lines for the scalar settings (width, height, frames, ambient,
+    drift, noise_sigma, seed) plus one line per blob:
 
         blob=<amplitude>,<sigma>,<human|object>,<t:x:y>[,<t:x:y>...]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thermal_sentry import ThermalFrame
+from thermal_sentry.frame import ThermalFrame
 
 
 def make_frame(values, frame_index=0):

@@ -9,33 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermal_sentry import (
-    BlobSpec,
-    ConfusionMatrix,
-    Method,
-    MotionConfig,
-    QuadrantId,
-    SceneSpec,
-    ThermalFrame,
-    ZoneState,
-    accuracy,
-    generate,
-    load_pgm,
-    motion_init,
-    motion_step,
-    parse_scene,
-    parse_zone_config,
-    render_frame,
-    roi_analyze,
-    run_eval,
-    write_pgm,
-    zone_update,
-)
-from thermal_sentry.evaluate import timed_steps
+from thermal_sentry.evaluate import ConfusionMatrix, Method, accuracy, run_eval, timed_steps
+from thermal_sentry.frame import QuadrantId, ThermalFrame, load_pgm, write_pgm
 from thermal_sentry.hybrid import Detection, hybrid_step
-from thermal_sentry.motion import MotionResult
-from thermal_sentry.roi import RoiResult
-from thermal_sentry.zones import ZoneEventKind
+from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
+from thermal_sentry.roi import RoiResult, roi_analyze
+from thermal_sentry.synth import BlobSpec, SceneSpec, generate, parse_scene, render_frame
+from thermal_sentry.zones import ZoneEventKind, ZoneState, parse_zone_config, zone_update
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "reference_golden.json"
@@ -76,7 +56,7 @@ class TestDetectorBoundaries:
     def test_c03_movement_threshold_boundary(self):
         outcomes = {}
         for active in (960, 959):
-            state = motion_init()
+            state = MotionState()
             motion_step(state, ThermalFrame(160, 120, np.full((120, 160), 1000, np.uint16)))
             pixels = np.full(19200, 1000, dtype=np.uint16)
             pixels[:active] += 20
@@ -89,7 +69,7 @@ class TestDetectorBoundaries:
 
     def test_c04_uniform_drift_never_fires(self):
         spec = SceneSpec(frames=500, ambient=1000, drift_per_frame=5.0)
-        state = motion_init(MotionConfig(active_pixel_delta=20))
+        state = MotionState(MotionConfig(active_pixel_delta=20))
         positives = sum(
             motion_step(state, render_frame(spec, t)).movement for t in range(500)
         )
@@ -102,7 +82,7 @@ class TestDetectorBoundaries:
             seed=12,
             blobs=(BlobSpec(800.0, 6.0, ((0, 40.0, 30.0),), is_human=False),),
         )
-        state = motion_init()
+        state = MotionState()
         movement_positives = 0
         flags_match_rule = True
         ratio = Fraction("1.2")
@@ -146,10 +126,10 @@ class TestReferenceScenario:
         for i, frame in enumerate(frames):
             frames[i] = ThermalFrame(frame.width, frame.height, frame.pixels, frame_index=i)
 
-        a_state = motion_init()
+        a_state = MotionState()
         a_pos = {f.frame_index for f in frames if motion_step(a_state, f).movement}
         b_pos = {f.frame_index for f in frames if roi_analyze(f).any}
-        h_state = motion_init()
+        h_state = MotionState()
         h_pos = {f.frame_index for f in frames if hybrid_step(h_state, f).verdict}
         truth = {label.frame_index for label in dataset.labels if label.human_present}
         hybrid_tp = len(h_pos & truth)

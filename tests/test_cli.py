@@ -170,7 +170,7 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
     @pytest.mark.parametrize("failure", ["missing input dir", "dimension change"])
     def test_failed_run_leaves_the_out_file_as_it_was(self, tmp_path, capsys, failure):
         import numpy as np
-        from thermal_sentry import ThermalFrame, write_pgm
+        from thermal_sentry.frame import ThermalFrame, write_pgm
 
         frames = tmp_path / "frames"
         if failure == "dimension change":  # fails after a record is written
@@ -371,7 +371,7 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
 
     def test_mid_stream_dimension_change_aborts(self, tmp_path, capsys):
         import numpy as np
-        from thermal_sentry import ThermalFrame, write_pgm
+        from thermal_sentry.frame import ThermalFrame, write_pgm
 
         write_pgm(ThermalFrame(4, 4, np.zeros((4, 4), np.uint16)), tmp_path / "a.pgm")
         write_pgm(ThermalFrame(6, 4, np.zeros((4, 6), np.uint16)), tmp_path / "b.pgm")
@@ -381,7 +381,7 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
 
     def test_mid_stream_dimension_change_in_frame_files_aborts(self, tmp_path, capsys):
         import numpy as np
-        from thermal_sentry import ThermalFrame, write_pgm
+        from thermal_sentry.frame import ThermalFrame, write_pgm
 
         write_pgm(ThermalFrame(2, 2, np.zeros((2, 2), np.uint16)), tmp_path / "a.pgm")
         write_pgm(ThermalFrame(4, 2, np.zeros((2, 4), np.uint16)), tmp_path / "b.pgm")
@@ -492,6 +492,26 @@ class TestSynth:
         assert "ambient must be finite" in err
         assert not out_dir.exists()
 
+    def test_frames_the_scene_does_not_write_are_refused(self, tmp_path, capsys):
+        # a 2-frame scene over a 3-frame dataset would leave frame 2 to replay
+        out_dir = make_dataset(tmp_path, STATIC_SCENE.replace("frames=10", "frames=3"))
+        labels = (out_dir / "labels.csv").read_bytes()
+        capsys.readouterr()
+        scene = tmp_path / "short.scene"
+        scene.write_text(STATIC_SCENE.replace("frames=10", "frames=2"))
+        code, out, err = run_cli(
+            capsys, "synth", "--scene", str(scene), "--out-dir", str(out_dir)
+        )
+        assert code == 2 and out == ""
+        assert str(out_dir / "frame_000002.pgm") in err
+        assert (out_dir / "labels.csv").read_bytes() == labels
+
+    def test_same_scene_regenerates_in_place(self, tmp_path, capsys):
+        out_dir = make_dataset(tmp_path, STATIC_SCENE)
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert make_dataset(tmp_path, STATIC_SCENE) == out_dir
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
@@ -509,6 +529,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["detect", "--active-delta", "soup", "--input-dir", "x"])
         assert exc.value.code == 1
+
+    def test_empty_zones_flag_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--zones", "", "--input-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "argument --zones: empty file name" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -578,6 +604,25 @@ class TestConfigFile:
         )
         assert code == 2
         assert "volume" in err
+
+    def test_config_line_without_equals_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "sentry.cfg"
+        config.write_text("# ratio\nroi_ratio\n")
+        code, _, err = run_cli(
+            capsys, "--config", str(config), "detect", "--input-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert f"{config}:2: expected key=value, got 'roi_ratio'" in err
+
+    def test_empty_zones_in_config_is_data_error(self, tmp_path, capsys):
+        # no zone file would mean every quadrant ignored: never Slow or Stop
+        config = tmp_path / "sentry.cfg"
+        config.write_text("zones=\n")
+        code, _, err = run_cli(
+            capsys, "--config", str(config), "detect", "--input-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert f"{config}:1: bad value for zones" in err
 
     def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys):
         # the file is read before parsing, so only the full flag is accepted

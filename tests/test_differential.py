@@ -26,22 +26,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry import (
-    MotionConfig,
-    MotionResult,
-    QuadrantId,
-    RoiConfig,
-    RoiResult,
-    PgmError,
-    ThermalFrame,
-    load_pgm,
-    motion_init,
-    motion_step,
-    roi_analyze,
-)
 from thermal_sentry import frame as frame_module
 from thermal_sentry.cli import record_line
-from thermal_sentry.frame import QUADRANTS, _parse_header, replay_dir
+from thermal_sentry.frame import (
+    QUADRANTS,
+    PgmError,
+    QuadrantId,
+    ThermalFrame,
+    _parse_header,
+    load_pgm,
+    replay_dir,
+)
+from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
+from thermal_sentry.roi import RoiConfig, RoiResult, roi_analyze
 
 # ---------------------------------------------------------------- reference
 
@@ -287,7 +284,7 @@ class TestMotionAgainstReference:
         cfg = MotionConfig(
             active_pixel_delta=delta, active_fraction=fraction, max_hold_frames=hold
         )
-        state, ref = motion_init(cfg), ReferenceMotionState(cfg)
+        state, ref = MotionState(cfg), ReferenceMotionState(cfg)
         for frame in frames:
             assert motion_step(state, frame) == reference_motion_step(ref, frame)
             assert state.background is ref.background
@@ -314,7 +311,7 @@ class TestMotionAgainstReference:
             ThermalFrame(160, 120, frame.reshape(120, 160), 1),
         ]
         cfg = MotionConfig(active_pixel_delta=delta)
-        state, ref = motion_init(cfg), ReferenceMotionState(cfg)
+        state, ref = MotionState(cfg), ReferenceMotionState(cfg)
         for f in stream:
             got = motion_step(state, f)
             assert got == reference_motion_step(ref, f)
@@ -551,13 +548,13 @@ class TestHeaderMemoAgainstFreshParse:
 # ---------------------------------------------------------------- listing
 
 
-def reference_glob_listing(path, pattern="*.pgm"):
+def reference_glob_listing(path):
     """The files `replay_dir` read when it listed with pathlib."""
     directory = Path(path)
-    return [str(p) for p in sorted(directory.glob(pattern), key=lambda file: file.name)]
+    return [str(p) for p in sorted(directory.glob("*.pgm"), key=lambda file: file.name)]
 
 
-def listed_by_replay_dir(path, pattern="*.pgm"):
+def listed_by_replay_dir(path):
     """The files `replay_dir` opens, in order, without decoding them."""
     opened = []
 
@@ -567,7 +564,7 @@ def listed_by_replay_dir(path, pattern="*.pgm"):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(frame_module, "load_pgm", fake_load)
-        for _ in replay_dir(path, pattern):
+        for _ in replay_dir(path):
             pass
     return opened
 
@@ -593,11 +590,10 @@ class TestListingAgainstGlob:
         os.close(os.open(os.fsencode(root) + b"/\xff.pgm", os.O_CREAT | os.O_WRONLY))
         return root
 
-    @pytest.mark.parametrize("pattern", ["*.pgm", "*.PGM", "frame_*", "?.pgm", "[.a-z]*"])
-    def test_same_files_in_the_same_order(self, directory, pattern):
-        expected = reference_glob_listing(directory, pattern)
+    def test_same_files_in_the_same_order(self, directory):
+        expected = reference_glob_listing(directory)
         assert len(expected) >= 1
-        assert listed_by_replay_dir(directory, pattern) == expected
+        assert listed_by_replay_dir(directory) == expected
 
     def test_every_spelling_of_the_directory(self, monkeypatch, directory):
         monkeypatch.chdir(directory.parent)

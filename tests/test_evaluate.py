@@ -2,28 +2,24 @@ from collections import Counter
 
 import pytest
 
-from thermal_sentry import (
+from thermal_sentry.evaluate import (
     ConfusionMatrix,
     DatasetError,
     GroundTruthLabel,
     Method,
-    MotionConfig,
-    QuadrantId,
-    RoiConfig,
-    SceneSpec,
-    BlobSpec,
     accuracy,
     confusion,
-    generate,
-    motion_init,
-    motion_step,
+    format_report,
     read_labels,
-    render_frame,
-    roi_analyze,
+    report_to_dict,
     run_eval,
+    timed_steps,
     write_labels,
 )
-from thermal_sentry.evaluate import format_report, report_to_dict, timed_steps
+from thermal_sentry.frame import QuadrantId
+from thermal_sentry.motion import MotionConfig, MotionState, motion_step
+from thermal_sentry.roi import RoiConfig, roi_analyze
+from thermal_sentry.synth import BlobSpec, SceneSpec, generate, render_frame
 
 
 class TestAccuracy:
@@ -236,7 +232,7 @@ class TestTimedSteps:
         samples = {m: [] for m in Method}
         steps = list(timed_steps(iter(frames), samples, motion_cfg, roi_cfg))
 
-        state = motion_init(motion_cfg)
+        state = MotionState(motion_cfg)
         expected = [(roi_analyze(f, roi_cfg), motion_step(state, f)) for f in frames]
         assert steps == expected
         assert any(motion.movement for _, motion in steps)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry import (
+from thermal_sentry.frame import (
     PgmError,
     QuadrantId,
     ThermalFrame,
     abs_diff,
     load_pgm,
     replay_dir,
-    roi_analyze,
     write_pgm,
 )
+from thermal_sentry.roi import roi_analyze
 from conftest import make_frame, uniform_frame
 
 even_dims = st.tuples(

@@ -3,16 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from thermal_sentry import (
-    MotionConfig,
-    RoiConfig,
-    ThermalFrame,
-    hybrid_step,
-    motion_init,
-    motion_step,
-    roi_analyze,
-    write_pgm,
-)
+from thermal_sentry.frame import ThermalFrame, write_pgm
+from thermal_sentry.hybrid import hybrid_step
+from thermal_sentry.motion import MotionConfig, MotionState, motion_step
+from thermal_sentry.roi import RoiConfig, roi_analyze
 from thermal_sentry.cli import main
 from conftest import make_frame, uniform_frame
 
@@ -32,28 +26,28 @@ def global_shift_frame(frame_index, base):
 
 class TestVerdictTable:
     def test_movement_only_is_positive(self):
-        state = motion_init()
+        state = MotionState()
         hybrid_step(state, global_shift_frame(0, 100))
         det = hybrid_step(state, global_shift_frame(1, 200))
         assert det.motion.movement and not det.roi.any
         assert det.verdict
 
     def test_roi_only_is_positive(self):
-        state = motion_init()
+        state = MotionState()
         hybrid_step(state, hot_quadrant_frame(0))
         det = hybrid_step(state, hot_quadrant_frame(1))
         assert det.roi.any and not det.motion.movement
         assert det.verdict
 
     def test_both_negative_is_negative(self):
-        state = motion_init()
+        state = MotionState()
         hybrid_step(state, global_shift_frame(0, 100))
         det = hybrid_step(state, global_shift_frame(1, 100))
         assert not det.motion.movement and not det.roi.any
         assert not det.verdict
 
     def test_both_positive_is_positive(self):
-        state = motion_init()
+        state = MotionState()
         hybrid_step(state, global_shift_frame(0, 50))
         det = hybrid_step(state, hot_quadrant_frame(1))
         assert det.motion.movement and det.roi.any
@@ -61,14 +55,14 @@ class TestVerdictTable:
 
     def test_first_frame_with_hot_quadrant(self):
         # movement is indeterminate, the quadrant method carries frame 0
-        state = motion_init()
+        state = MotionState()
         det = hybrid_step(state, hot_quadrant_frame(0))
         assert det.motion.indeterminate and not det.motion.movement
         assert det.roi.any
         assert det.verdict
 
     def test_first_frame_cold_scene(self):
-        state = motion_init()
+        state = MotionState()
         det = hybrid_step(state, global_shift_frame(0, 100))
         assert not det.verdict
 
@@ -123,7 +117,7 @@ class TestModes:
         assert ([last_seq["movement"], last_seq["active_count"]]
                 == [last_par["movement"], last_par["active_count"]])
 
-        state = motion_init()
+        state = MotionState()
         dets = [hybrid_step(state, frame) for frame in frames]
         assert last_seq["active_count"] == dets[-1].motion.active_count
 
@@ -141,14 +135,14 @@ class TestUnionProperty:
             else:
                 frames.append(global_shift_frame(t, 100))
 
-        a_state = motion_init(MotionConfig())
+        a_state = MotionState(MotionConfig())
         a_pos = {f.frame_index for f in frames if motion_step(a_state, f).movement}
         b_pos = {f.frame_index for f in frames if roi_analyze(f).any}
-        h_state = motion_init(MotionConfig())
+        h_state = MotionState(MotionConfig())
         h_pos = {f.frame_index for f in frames if hybrid_step(h_state, f).verdict}
         assert h_pos == a_pos | b_pos
 
     def test_elapsed_us_recorded_and_positive(self):
-        state = motion_init()
+        state = MotionState()
         dets = [hybrid_step(state, global_shift_frame(t, 100)) for t in range(5)]
         assert all(d.elapsed_us > 0 for d in dets)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry import (
+from thermal_sentry.frame import ThermalFrame
+from thermal_sentry.motion import (
     MotionConfig,
-    ThermalFrame,
-    motion_init,
+    MotionState,
     motion_step,
     required_active_count,
 )
@@ -59,7 +59,7 @@ class TestRequiredCount:
 
 class TestMotionStep:
     def test_first_frame_is_indeterminate(self):
-        state = motion_init()
+        state = MotionState()
         result = motion_step(state, uniform_frame(4, 4, 100))
         assert result.indeterminate
         assert not result.movement
@@ -68,7 +68,7 @@ class TestMotionStep:
         assert state.background is not None
 
     def test_identical_frame_refreshes_background(self):
-        state = motion_init()
+        state = MotionState()
         motion_step(state, uniform_frame(4, 4, 100))
         frame = uniform_frame(4, 4, 100, frame_index=1)
         result = motion_step(state, frame)
@@ -80,7 +80,7 @@ class TestMotionStep:
     def test_960_active_pixels_is_movement_959_is_not(self):
         width, height, delta = 160, 120, 20
         for count, expect in [(960, True), (959, False)]:
-            state = motion_init()
+            state = MotionState()
             motion_step(state, uniform_frame(width, height, 1000))
             frame = frame_with_actives(width, height, 1000, delta, count, frame_index=1)
             # independent oracle: count pixels differing by >= delta
@@ -96,7 +96,7 @@ class TestMotionStep:
             assert result.movement is expect
 
     def test_below_delta_changes_are_not_active(self):
-        state = motion_init()
+        state = MotionState()
         motion_step(state, uniform_frame(4, 4, 100))
         frame = frame_with_actives(4, 4, 100, 19, 16, frame_index=1)
         result = motion_step(state, frame)
@@ -104,7 +104,7 @@ class TestMotionStep:
 
     def test_uniform_drift_never_detects(self):
         # +5 counts per frame, delta 20: each refresh keeps the diff at 5
-        state = motion_init()
+        state = MotionState()
         positives = 0
         for t in range(20):
             frame = uniform_frame(8, 6, 1000 + 5 * t, frame_index=t)
@@ -114,7 +114,7 @@ class TestMotionStep:
         assert positives == 0
 
     def test_static_sequence_stays_negative(self):
-        state = motion_init()
+        state = MotionState()
         results = [
             motion_step(state, uniform_frame(6, 4, 500, frame_index=t))
             for t in range(10)
@@ -122,7 +122,7 @@ class TestMotionStep:
         assert not any(r.movement for r in results)
 
     def test_background_held_during_movement(self):
-        state = motion_init()
+        state = MotionState()
         reference = uniform_frame(4, 4, 0)
         motion_step(state, reference)
         moving = uniform_frame(4, 4, 100, frame_index=1)
@@ -132,7 +132,7 @@ class TestMotionStep:
         assert state.background is reference
 
     def test_forced_refresh_after_hold_limit(self):
-        state = motion_init(MotionConfig(max_hold_frames=2))
+        state = MotionState(MotionConfig(max_hold_frames=2))
         motion_step(state, uniform_frame(4, 4, 0))
         outcomes = []
         for t in range(1, 5):
@@ -147,7 +147,7 @@ class TestMotionStep:
         ]
 
     def test_dimension_mismatch(self):
-        state = motion_init()
+        state = MotionState()
         motion_step(state, uniform_frame(4, 4, 0))
         with pytest.raises(ValueError, match="background"):
             motion_step(state, uniform_frame(6, 4, 0))
@@ -156,7 +156,7 @@ class TestMotionStep:
         seq = [frame_with_actives(8, 6, 100, 30, t * 5, frame_index=t) for t in range(8)]
         runs = []
         for _ in range(2):
-            state = motion_init()
+            state = MotionState()
             runs.append([motion_step(state, f) for f in seq])
         assert runs[0] == runs[1]
 
@@ -170,7 +170,7 @@ class TestMonotonicity:
     )
     def test_raising_delta_never_increases_active_count(self, data, delta_low, bump):
         def run(delta):
-            state = motion_init(MotionConfig(active_pixel_delta=delta))
+            state = MotionState(MotionConfig(active_pixel_delta=delta))
             motion_step(state, uniform_frame(6, 4, 100))
             return motion_step(
                 state, ThermalFrame(6, 4, np.array(data, dtype=np.uint16), frame_index=1)
@@ -186,7 +186,7 @@ class TestMonotonicity:
     )
     def test_raising_fraction_never_creates_movement(self, data, fraction_low, bump):
         def run(fraction):
-            state = motion_init(MotionConfig(active_fraction=round(fraction, 6)))
+            state = MotionState(MotionConfig(active_fraction=round(fraction, 6)))
             motion_step(state, uniform_frame(6, 4, 100))
             return motion_step(
                 state, ThermalFrame(6, 4, np.array(data, dtype=np.uint16), frame_index=1)

@@ -81,7 +81,7 @@ blob_lines = st.tuples(
 
 
 def scene_numbers(spec: SceneSpec):
-    yield spec.fps, spec.ambient, spec.drift_per_frame, spec.noise_sigma
+    yield spec.ambient, spec.drift_per_frame, spec.noise_sigma
     for blob in spec.blobs:
         yield blob.amplitude, blob.sigma
         for _, x, y in blob.path:
@@ -91,7 +91,7 @@ def scene_numbers(spec: SceneSpec):
 class TestSceneReader:
     @settings(max_examples=300, deadline=None)
     @given(text=lines_of(
-        key_values(["width", "height", "frames", "fps", "ambient", "drift",
+        key_values(["width", "height", "frames", "ambient", "drift",
                     "noise_sigma", "seed", "wobble"], numbers),
         blob_lines,
         st.just("frames=4"),

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry import QuadrantId, RoiConfig, ThermalFrame, roi_analyze
+from thermal_sentry.frame import QuadrantId, ThermalFrame
+from thermal_sentry.roi import RoiConfig, roi_analyze
 from conftest import make_frame, uniform_frame
 
 

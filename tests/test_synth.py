@@ -1,24 +1,23 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thermal_sentry import (
+from thermal_sentry.evaluate import Method, run_eval
+from thermal_sentry.frame import QuadrantId
+from thermal_sentry.motion import MotionState, motion_step
+from thermal_sentry.synth import (
     BlobSpec,
-    Method,
-    QuadrantId,
     SceneError,
     SceneSpec,
     blob_center,
     frame_label,
     generate,
-    motion_init,
-    motion_step,
     parse_scene,
     render_frame,
-    run_eval,
+    standard_normals,
 )
-from thermal_sentry.synth import standard_normals
 
 
 class TestSpecs:
@@ -245,9 +244,9 @@ class TestGenerate:
             blobs=(BlobSpec(800.0, 3.0, ((0, 8.0, 6.0),), is_human=False),),
         )
         ds = generate(spec, tmp_path / "equip")
-        state = motion_init()
+        state = MotionState()
         positives = 0
-        from thermal_sentry import load_pgm
+        from thermal_sentry.frame import load_pgm
         for path in ds.frame_paths:
             positives += motion_step(state, load_pgm(path)).movement
         assert positives == 0
@@ -269,7 +268,6 @@ class TestSceneFile:
 width=160
 height=120
 frames=20
-fps=4
 ambient=60
 drift=0.02
 noise_sigma=1.5
@@ -296,6 +294,18 @@ blob=250,5,object,0:130:20
         with pytest.raises(SceneError, match="unknown key"):
             parse_scene("frames=5\nwobble=3\n")
 
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("**Scene files**", 1)[1]
+        block = section.split("```\n", 2)[1]
+        spec = parse_scene(block)
+        assert (spec.width, spec.height, spec.frames, spec.seed) == (160, 120, 1000, 7)
+        assert [b.is_human for b in spec.blobs] == [True, False]
+
+    def test_fps_is_an_unknown_key(self):
+        with pytest.raises(SceneError, match="line 2: unknown key 'fps'"):
+            parse_scene("frames=5\nfps=4\n")
+
     def test_bad_blob_kind_rejected(self):
         with pytest.raises(SceneError, match="human or object"):
             parse_scene("frames=5\nblob=10,2,ghost,0:1:1\n")
@@ -310,7 +320,6 @@ blob=250,5,object,0:130:20
         "ambient": "ambient=VALUE",
         "drift": "drift=VALUE",
         "noise_sigma": "noise_sigma=VALUE",
-        "fps": "fps=VALUE",
         "blob amplitude": "blob=VALUE,2,human,0:4:4",
         "blob sigma": "blob=900,VALUE,human,0:4:4",
         "waypoint x": "blob=900,2,human,0:4:4,3:VALUE:4",

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry import (
-    Detection,
-    MotionResult,
-    QuadrantId,
-    RoiResult,
+from thermal_sentry.frame import QuadrantId
+from thermal_sentry.hybrid import Detection
+from thermal_sentry.motion import MotionResult
+from thermal_sentry.roi import RoiResult
+from thermal_sentry.zones import (
     SafetyState,
     ZoneClass,
     ZoneConfig,

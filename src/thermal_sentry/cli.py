@@ -10,7 +10,6 @@ flags, state, elapsed_us}; zone events are separate records with the fields
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -18,22 +17,12 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Mapping
 
-from .evaluate import (
-    ConfusionMatrix,
-    DatasetError,
-    accuracy,
-    format_matrix,
-    format_report,
-    report_to_dict,
-    run_eval,
-)
-from .frame import QUADRANTS, PgmError, QuadrantId, replay_dir, replay_files
+from .frame import QUADRANTS, QuadrantId, replay_dir, replay_files
 from .hybrid import hybrid_step
 from .keyvalue import key_value_lines
 from .motion import MotionConfig, MotionState
 from .roi import RoiConfig
-from .synth import SceneError, generate, parse_scene
-from .zones import ZoneConfig, ZoneState, parse_zone_config, zone_update
+from .zones import ZoneConfig, ZoneEvent, ZoneState, parse_zone_config, zone_update
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +40,9 @@ def _mode(text: str) -> str:
 
 
 def _file(text: str) -> str:
-    if not text:  # no zone file would leave every quadrant ignored
+    # '' would mean no zone file (every quadrant ignored), stdout or the
+    # current directory, not the file the flag names
+    if not text:
         raise argparse.ArgumentTypeError("empty file name")
     return text
 
@@ -77,6 +68,10 @@ _RECORD = (
     '"state": "{}", "elapsed_us": {}}}\n'
 ).format
 _LITERAL = {True: "true", False: "false", None: "null"}
+# A zone event the same way; every name it holds is plain ASCII.
+_EVENT = (
+    '{{"frame": {}, "event": "{}", "quadrant": {}, "from_state": {}, "to_state": {}}}\n'
+).format
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,7 +142,8 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_detect.add_argument("--zones", metavar="FILE", type=_file, help="zone configuration file")
     p_detect.add_argument("--mode", choices=_MODES, default="parallel",
                           help="combine mode: run both methods, or B first (default parallel)")
-    p_detect.add_argument("--out", metavar="FILE", help="write NDJSON here instead of stdout")
+    p_detect.add_argument("--out", metavar="FILE", type=_file,
+                          help="write NDJSON here instead of stdout")
     p_detect.set_defaults(func=cmd_detect)
 
     p_eval = sub.add_parser(
@@ -157,12 +153,15 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_eval.add_argument("--labels", metavar="FILE", help="ground-truth CSV")
     p_eval.add_argument("--cells", metavar="TP,FP,FN,TN",
                         help="score an explicit confusion matrix instead of a dataset")
-    p_eval.add_argument("--out", metavar="FILE", help="also write the report as JSON")
+    p_eval.add_argument("--out", metavar="FILE", type=_file,
+                        help="also write the report as JSON")
     p_eval.set_defaults(func=cmd_eval)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    p_synth.add_argument("--scene", required=True, metavar="FILE", help="scene description file")
-    p_synth.add_argument("--out-dir", required=True, metavar="DIR", help="dataset output directory")
+    p_synth.add_argument("--scene", required=True, metavar="FILE", type=_file,
+                         help="scene description file")
+    p_synth.add_argument("--out-dir", required=True, metavar="DIR", type=_file,
+                         help="dataset output directory")
     p_synth.set_defaults(func=cmd_synth)
 
     if defaults:
@@ -220,6 +219,19 @@ def record_line(
         float.__repr__(round(quadrant_means[q3], 3)),
         _LITERAL[flags[q0]], _LITERAL[flags[q1]], _LITERAL[flags[q2]], _LITERAL[flags[q3]],
         state, float.__repr__(round(elapsed_us, 3)),
+    )
+
+
+def event_line(event: ZoneEvent) -> str:
+    """One zone event as an NDJSON line: the bytes of `json.dumps` of the
+    record. SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums, so each
+    is compared against None explicitly."""
+    quadrant, before, after = event.quadrant, event.from_state, event.to_state
+    return _EVENT(
+        event.frame_index, event.kind.value,
+        "null" if quadrant is None else f'"{quadrant.name}"',
+        "null" if before is None else f'"{before.label}"',
+        "null" if after is None else f'"{after.label}"',
     )
 
 
@@ -286,15 +298,7 @@ def cmd_detect(args) -> int:
                     detection.elapsed_us,
                 ))
                 for event in events:
-                    # SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums;
-                    # compare against None explicitly
-                    out.write(json.dumps({
-                        "frame": event.frame_index,
-                        "event": event.kind.value,
-                        "quadrant": event.quadrant.name if event.quadrant is not None else None,
-                        "from_state": event.from_state.label if event.from_state is not None else None,
-                        "to_state": event.to_state.label if event.to_state is not None else None,
-                    }) + "\n")
+                    out.write(event_line(event))
         if temp:
             os.replace(temp, args.out)
     except BaseException:
@@ -304,7 +308,22 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+# `detect` needs neither evaluate (with csv) nor synth, so they are imported
+# on first use. The benchmark traces run_eval and generate as attributes of
+# this module, looked up when cmd_eval and cmd_synth call them.
+def run_eval(*args, **kwargs):
+    from .evaluate import run_eval
+    return run_eval(*args, **kwargs)
+
+
+def generate(*args, **kwargs):
+    from .synth import generate
+    return generate(*args, **kwargs)
+
+
 def cmd_eval(args) -> int:
+    from .evaluate import ConfusionMatrix, accuracy, format_matrix, format_report, report_to_dict
+
     if args.cells:
         for flag, value in (("--input-dir", args.input_dir), ("--labels", args.labels),
                             ("--out", args.out)):
@@ -334,11 +353,15 @@ def cmd_eval(args) -> int:
     report = run_eval(args.input_dir, args.labels, motion_cfg, roi_cfg)
     print(format_report(report))
     if args.out:
+        import json
+
         Path(args.out).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
+    from .synth import parse_scene
+
     spec = parse_scene(Path(args.scene).read_text())
     dataset = generate(spec, args.out_dir)
     positives = sum(1 for label in dataset.labels if label.human_present)
@@ -377,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (PgmError, DatasetError, SceneError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every data error class is a ValueError
         print(f"thermal-sentry: {exc}", file=sys.stderr)
         return EXIT_DATA
 

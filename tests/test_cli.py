@@ -1,9 +1,15 @@
+import importlib
 import json
 import os
+import pkgutil
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import thermal_sentry
+from thermal_sentry import cli
 from thermal_sentry.cli import main
 
 DETECTION_KEYS = {
@@ -535,6 +541,95 @@ class TestUsage:
             main(["detect", "--zones", "", "--input-dir", str(tmp_path)])
         assert exc.value.code == 1
         assert "argument --zones: empty file name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("detect", "--out"), ("eval", "--out"), ("synth", "--out-dir"), ("synth", "--scene"),
+    ])
+    def test_empty_path_flag_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                            command, flag):
+        data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
+        scene = tmp_path / "s.scene"
+        scene.write_text(HOT_QUADRANT_SCENE)
+        argv = {
+            "detect": ["detect", "--input-dir", str(data)],
+            "eval": ["eval", "--input-dir", str(data), "--labels", str(data / "labels.csv")],
+            "synth": ["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "new")],
+        }[command] + [flag, ""]
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument {flag}: empty file name" in err
+        assert list(cwd.iterdir()) == [] and not (tmp_path / "new").exists()
+
+    def test_every_data_error_is_a_value_error(self):
+        # main() turns OSError and ValueError into exit 2; an error class
+        # outside them would escape as a traceback
+        modules = [importlib.import_module(f"thermal_sentry.{info.name}")
+                   for info in pkgutil.iter_modules(thermal_sentry.__path__)]
+        errors = {
+            obj for module in modules for obj in vars(module).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__ == module.__name__
+        }
+        assert {error.__name__ for error in errors} == {
+            "PgmError", "ZoneConfigError", "DatasetError", "SceneError"}
+        assert all(issubclass(error, ValueError) for error in errors)
+
+
+# runs detect through main() in a fresh interpreter and prints the modules
+# the run added to those numpy and argparse load
+_IMPORT_PROBE = """
+import sys
+import argparse, numpy
+before = set(sys.modules)
+from thermal_sentry.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+class TestImports:
+    def test_detect_loads_neither_evaluate_nor_synth(self, tmp_path):
+        data = make_dataset(tmp_path, CROSSING_SCENE)
+        zones_file = tmp_path / "zones.cfg"
+        zones_file.write_text("Q3=critical\ndebounce=3\n")
+        src = os.path.dirname(os.path.dirname(thermal_sentry.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, "detect", "--input-dir", str(data),
+             "--zones", str(zones_file)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, *added = run.stderr.split()
+        assert code == "0"
+        assert '"event": "StateChanged"' in run.stdout  # the zone-event line ran
+        assert "thermal_sentry.zones" in added
+        loaded = {"thermal_sentry.evaluate", "thermal_sentry.synth", "csv", "json"} & set(added)
+        assert not loaded
+
+    def test_eval_and_synth_call_the_module_attributes(self, tmp_path, capsys, monkeypatch):
+        # the benchmark traces cli.run_eval and cli.generate by replacing
+        # them, so the commands must look them up when they run
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_eval", spy("run_eval", cli.run_eval))
+        monkeypatch.setattr(cli, "generate", spy("generate", cli.generate))
+        data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
+        code, out, _ = run_cli(
+            capsys, "eval", "--input-dir", str(data), "--labels", str(data / "labels.csv"))
+        assert code == 0 and "frames evaluated: 6" in out
+        assert calls == ["generate", "run_eval"]
 
 
 class TestConfigFile:

@@ -10,10 +10,11 @@ boundaries included.
 
 The per-stream shortcuts of `detect` are checked the same way: the PGM
 header parsed once per stream against a fresh parse per file, the
-directory listing against `pathlib` globbing, and the record formatter
-against `json.dumps`.
+directory listing against `pathlib` globbing, and the record and
+zone-event formatters against `json.dumps`.
 """
 
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermal_sentry import frame as frame_module
-from thermal_sentry.cli import record_line
+from thermal_sentry.cli import event_line, record_line
 from thermal_sentry.frame import (
     QUADRANTS,
     PgmError,
@@ -39,6 +40,7 @@ from thermal_sentry.frame import (
 )
 from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
 from thermal_sentry.roi import RoiConfig, RoiResult, roi_analyze
+from thermal_sentry.zones import SafetyState, ZoneEvent, ZoneEventKind
 
 # ---------------------------------------------------------------- reference
 
@@ -658,3 +660,25 @@ class TestRecordLineAgainstJson:
         args = (frame, verdict, movement, active_count, dict(zip(QUADRANTS, means)),
                 dict(zip(QUADRANTS, flags)), state, elapsed_us)
         assert record_line(*args) == reference_record_line(*args)
+
+
+def reference_event_line(event):
+    """The zone event as `detect` built it and `json.dumps` wrote it."""
+    return json.dumps({
+        "frame": event.frame_index,
+        "event": event.kind.value,
+        "quadrant": event.quadrant.name if event.quadrant is not None else None,
+        "from_state": event.from_state.label if event.from_state is not None else None,
+        "to_state": event.to_state.label if event.to_state is not None else None,
+    }) + "\n"
+
+
+class TestEventLineAgainstJson:
+    def test_byte_equal_to_json_dumps(self):
+        # Q0 and Run are falsy; None must still be null, not dropped
+        quadrants = [*QuadrantId, None]
+        states = [*SafetyState, None]
+        cases = itertools.product([0, 1, 2**70], ZoneEventKind, quadrants, states, states)
+        for frame_index, kind, quadrant, before, after in cases:
+            event = ZoneEvent(frame_index, kind, quadrant, before, after)
+            assert event_line(event) == reference_event_line(event), event

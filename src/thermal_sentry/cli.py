@@ -174,12 +174,16 @@ def build_parser(defaults: dict | None = None) -> _Parser:
 
 def _load_config_file(path: str) -> dict:
     defaults = {}
+    seen: dict[str, int] = {}
     for lineno, raw, key, value in key_value_lines(Path(path).read_text()):
         key = key.replace("-", "_")
         if value is None:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {raw!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             defaults[key] = _CONFIG_KEYS[key](value)
         except (ValueError, argparse.ArgumentTypeError):
@@ -290,8 +294,8 @@ def cmd_detect(args) -> int:
                 out.write(record_line(
                     detection.frame_index,
                     detection.verdict,
-                    motion.movement if motion else None,
-                    motion.active_count if motion else None,
+                    motion.movement if motion is not None else None,
+                    motion.active_count if motion is not None else None,
                     roi.quadrant_means,
                     roi.flags,
                     safety.label,

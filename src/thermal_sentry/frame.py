@@ -14,7 +14,6 @@ Netpbm specifies. Files are always written as 16-bit P5 with maxval 65535;
 
 from __future__ import annotations
 
-import fnmatch
 import os
 import re
 from dataclasses import dataclass
@@ -108,9 +107,40 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
     return _own_frame(diff, a.frame_index)
 
 
-# (header bytes, parsed header) of the last file that decoded. The header
-# bytes run to the byte after maxval, which `_NUMBER`'s lookahead reads.
-_last_header: tuple[bytes, tuple[bytes, int, int, int, int]] | None = None
+# (header bytes, parsed header, file length) of the last file that decoded.
+# The header bytes run to the byte after maxval, which `_NUMBER`'s lookahead
+# reads.
+_last_header: tuple[bytes, tuple[bytes, int, int, int, int], int] | None = None
+# how much each read asks for once a file has turned out longer than expected
+_READ_CHUNK = 1 << 16
+
+
+def _read_file(path: str | Path, size: int | None) -> bytes:
+    """The whole content of a file expected to be `size` bytes long (None:
+    ask fstat), read with raw `os` calls, which cost about half of what a
+    Python file object does. The first read asks for one byte more than
+    expected and the reads go on to the end of the file, so a file of any
+    other length is still read whole."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if size is None:
+            size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        # a short read ends a regular file but not a pipe, so one more read
+        # must come back empty; asking it for a single byte allocates no
+        # large buffer
+        tail = os.read(fd, 1)
+        if tail:
+            chunks = [data, tail]
+            while chunks[-1]:
+                chunks.append(os.read(fd, _READ_CHUNK))
+            data = b"".join(chunks)
+    except OSError as exc:
+        # os.read's error names no file; open()'s error does
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    return data
 
 
 def load_pgm(path: str | Path) -> ThermalFrame:
@@ -123,12 +153,11 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     leading bytes equal the header of the last file that decoded reuses
     that parse, because equal bytes parse the same. The header is kept only
     after its file has decoded, and the checks on the payload run on every
-    file.
+    file. The file is read expecting the last decoded file's length.
     """
     global _last_header
-    with open(path, "rb") as fh:
-        data = fh.read()
     last = _last_header
+    data = _read_file(path, None if last is None else last[2])
     if last is not None and data.startswith(last[0]):
         header = last[1]
     else:
@@ -176,7 +205,7 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     # a full-range 16-bit maxval admits every stored value
     if maxval < MAX_COUNT and int(values.max()) > maxval:
         raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
-    _last_header = (data[: pos + 1], header)
+    _last_header = (data[: pos + 1], header, len(data))
     return _own_frame(values.reshape(height, width))
 
 
@@ -192,9 +221,11 @@ def replay_dir(path: str | Path) -> Iterator[ThermalFrame]:
     directory = Path(path)
     if not directory.is_dir():
         raise NotADirectoryError(f"{directory}: no such directory")
-    root = str(directory)
-    names = sorted(fnmatch.filter(os.listdir(root), "*.pgm"))
-    yield from replay_files(os.path.join(root, name) for name in names)
+    # the names pathlib's "*.pgm" glob matches on POSIX, where it is
+    # case-sensitive and matches hidden files too
+    prefix = os.path.join(str(directory), "")
+    names = sorted(name for name in os.listdir(prefix) if name.endswith(".pgm"))
+    yield from replay_files([prefix + name for name in names])
 
 
 def replay_files(paths: Iterable[str | Path]) -> Iterator[ThermalFrame]:

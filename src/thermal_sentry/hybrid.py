@@ -9,15 +9,14 @@ the quadrant method already decided.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .frame import ThermalFrame
 from .motion import MotionResult, MotionState, motion_step
 from .roi import RoiConfig, RoiResult, roi_analyze
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     """Per-frame verdict plus the component evidence that produced it."""
 
     frame_index: int

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,9 @@ class RoiConfig:
             raise ValueError("min_quadrant_mean must be >= 0")
 
 
-@dataclass(frozen=True)
-class RoiResult:
+class RoiResult(NamedTuple):
+    """Outcome of one quadrant analysis."""
+
     frame_mean: float
     quadrant_means: Mapping[QuadrantId, float]
     flags: Mapping[QuadrantId, bool]

@@ -216,9 +216,11 @@ def parse_scene(text: str) -> SceneSpec:
 
         blob=<amplitude>,<sigma>,<human|object>,<t:x:y>[,<t:x:y>...]
 
-    `#` starts a comment.
+    `#` starts a comment. Each scalar setting may appear on one line only;
+    `blob=` lines repeat.
     """
     settings: dict[str, object] = {}
+    seen: dict[str, int] = {}
     blobs: list[BlobSpec] = []
     for lineno, raw, key, value in key_value_lines(text):
         if value is None:
@@ -226,6 +228,9 @@ def parse_scene(text: str) -> SceneSpec:
         if key == "blob":
             blobs.append(_parse_blob(lineno, value))
         elif key in _SCENE_KEYS:
+            if key in seen:
+                raise SceneError(f"line {lineno}: {key} repeats line {seen[key]}")
+            seen[key] = lineno
             try:
                 parsed = _SCENE_KEYS[key](value)
             except ValueError:

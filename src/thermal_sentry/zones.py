@@ -153,13 +153,18 @@ def parse_zone_config(text: str) -> ZoneConfig:
 
     One `Qn=ignore|warning|critical` per line, optional `debounce=<int>` and
     `clear=<int>` lines, `#` comments, case-insensitive. Quadrants not
-    mentioned default to Ignore.
+    mentioned default to Ignore. A key may appear on one line only, so no
+    line is silently overridden by a later one.
     """
     classes = _all_ignore()
     counts = {"debounce": 3, "clear": 3}
+    seen: dict[str, int] = {}
     for lineno, raw, key, value in key_value_lines(text):
         if value is None:
             raise ZoneConfigError(f"line {lineno}: expected key=value, got {raw!r}")
+        if key in seen:
+            raise ZoneConfigError(f"line {lineno}: {key} repeats line {seen[key]}")
+        seen[key] = lineno
         value = value.lower()
         if key in counts:
             try:

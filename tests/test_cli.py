@@ -106,6 +106,19 @@ class TestDetect:
         detections = [r for r in lines if "verdict" in r]
         assert detections[-1]["state"] == "Stop"
 
+    def test_repeated_zone_key_is_data_error(self, tmp_path, capsys):
+        # the second line would leave Q3 ignored: no Stop, exit 0
+        data = make_dataset(tmp_path, CROSSING_SCENE)
+        zones = tmp_path / "zones.cfg"
+        zones.write_text("Q3=critical\ndebounce=3\nq3=ignore\n")
+        capsys.readouterr()
+        code, out, err = run_cli(
+            capsys, "detect", "--input-dir", str(data), "--zones", str(zones)
+        )
+        assert code == 2
+        assert out == ""
+        assert "line 3: q3 repeats line 1" in err
+
     def test_q0_events_and_return_to_run_serialize(self, tmp_path, capsys):
         # Q0 and SafetyState.RUN are falsy IntEnums; make sure the NDJSON
         # layer still names them
@@ -708,6 +721,20 @@ class TestConfigFile:
         )
         assert code == 2
         assert f"{config}:2: expected key=value, got 'roi_ratio'" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("active_delta=5\nactive_delta=50\n", ":2: active_delta repeats line 1"),
+        ("roi-ratio=1.5\n# same key\nroi_ratio=1.5\n", ":3: roi_ratio repeats line 1"),
+    ])
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys, text, message):
+        config = tmp_path / "sentry.cfg"
+        config.write_text(text)
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "detect", "--input-dir", str(tmp_path)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{config}{message}" in err
 
     def test_empty_zones_in_config_is_data_error(self, tmp_path, capsys):
         # no zone file would mean every quadrant ignored: never Slow or Stop

@@ -9,9 +9,10 @@ whatever offset the header leaves. Every result must be identical,
 boundaries included.
 
 The per-stream shortcuts of `detect` are checked the same way: the PGM
-header parsed once per stream against a fresh parse per file, the
-directory listing against `pathlib` globbing, and the record and
-zone-event formatters against `json.dumps`.
+header parsed once per stream against a fresh parse per file, files read
+with raw `os` calls against `open().read()`, the directory listing against
+`pathlib` globbing, and the record and zone-event formatters against
+`json.dumps`.
 """
 
 import itertools
@@ -545,6 +546,102 @@ class TestHeaderMemoAgainstFreshParse:
                 patch.setattr(frame_module, "_last_header", None)
                 fresh.append(load_outcome(path))
         assert in_order == fresh
+
+
+# ---------------------------------------------------------------- read path
+
+
+def reference_read(path, size):
+    """How `load_pgm` read a file before it used raw `os` calls."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_outcome(path):
+    """What loading a file gives, down to the exception's type and message."""
+    try:
+        frame = load_pgm(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return frame.width, frame.height, frame.pixels.tobytes()
+
+
+def pgm_bytes(magic, width, height, maxval, seed):
+    samples = np.random.default_rng(seed).integers(0, maxval + 1, width * height)
+    header = b"%s\n%d %d\n%d\n" % (magic, width, height, maxval)
+    if magic == b"P5":
+        return header + samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+    return header + b" ".join(b"%d" % s for s in samples.tolist()) + b"\n"
+
+
+# How a file's length differs from a whole one of its header. P2 allows
+# trailing whitespace, so there a longer file still decodes.
+LENGTH_CHANGES = {
+    "whole": lambda data: data,
+    "one byte short": lambda data: data[:-1],
+    "one byte long": lambda data: data + b"\n",
+    "chunks long": lambda data: data + b" " * (2 * frame_module._READ_CHUNK + 3),
+    "empty": lambda data: b"",
+}
+
+
+@st.composite
+def read_streams(draw):
+    """A stream of 8- and 16-bit P5 and P2 files whose headers change now and
+    then, each as long as the last one or shorter or longer, by one byte and
+    by more than a read chunk (a 256x160 16-bit P5 file after a small one)."""
+    files = []
+    for _ in range(draw(st.integers(1, 6))):
+        magic = draw(st.sampled_from([b"P5", b"P2"]))
+        maxval = draw(st.sampled_from([255, 65535]))
+        width, height = draw(st.sampled_from([(4, 2), (2, 4), (6, 4), (256, 160)]))
+        data = pgm_bytes(magic, width, height, maxval, draw(st.integers(0, 2**16)))
+        files.append(LENGTH_CHANGES[draw(st.sampled_from(sorted(LENGTH_CHANGES)))](data))
+    return files
+
+
+def outcomes_through_one_memo(paths, read):
+    """Each path's outcome, loaded in order through one header memo, and read
+    with `read` in place of `_read_file` unless it is None."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frame_module, "_last_header", None)
+        if read is not None:
+            patch.setattr(frame_module, "_read_file", read)
+        return [read_outcome(path) for path in paths]
+
+
+small = pgm_bytes(b"P5", 4, 2, 65535, 1)
+
+
+class TestReadPathAgainstOpenRead:
+    @settings(max_examples=60, deadline=None)
+    @given(files=read_streams())
+    @example(files=[small, small, small[:-1], small, small + b"\0", small])
+    @example(files=[small, pgm_bytes(b"P5", 256, 160, 65535, 2), small])
+    @example(files=[pgm_bytes(b"P2", 4, 2, 255, 3),
+                    pgm_bytes(b"P2", 4, 2, 255, 3) + b" " * (3 * 2**16), small])
+    @example(files=[pgm_bytes(b"P5", 6, 4, 255, 4), b"", pgm_bytes(b"P2", 6, 4, 65535, 5)])
+    def test_a_stream_decodes_as_open_read_decodes_it(self, tmp_path_factory, files):
+        directory = tmp_path_factory.mktemp("read")
+        paths = [directory / f"{i}.pgm" for i in range(len(files))]
+        for path, data in zip(paths, files):
+            path.write_bytes(data)
+        expected = outcomes_through_one_memo(paths, reference_read)
+        assert outcomes_through_one_memo(paths, None) == expected
+
+    @pytest.mark.parametrize("memo", [False, True], ids=["first file", "after a file"])
+    @pytest.mark.parametrize("spelling", [str, Path], ids=["str", "Path"])
+    def test_missing_file_and_directory_give_open_errors(self, tmp_path, memo, spelling):
+        (tmp_path / "frame.pgm").write_bytes(small)
+        (tmp_path / "dir.pgm").mkdir()
+        first = [spelling(tmp_path / "frame.pgm")] if memo else []
+        for argument in (tmp_path / "absent.pgm", tmp_path / "dir.pgm"):
+            paths = first + [spelling(argument)]
+            got = outcomes_through_one_memo(paths, None)
+            assert got == outcomes_through_one_memo(paths, reference_read)
+            assert issubclass(got[-1][0], OSError)
+        assert got[-1] == (IsADirectoryError,
+                           f"[Errno 21] Is a directory: '{tmp_path / 'dir.pgm'}'")
 
 
 # ---------------------------------------------------------------- listing

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thermal_sentry import frame as frame_module
 from thermal_sentry.frame import (
     PgmError,
     QuadrantId,
@@ -177,6 +179,34 @@ class TestPgm:
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(7))
         with pytest.raises(PgmError, match="payload"):
             load_pgm(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count open descriptors")
+    def test_every_outcome_closes_the_file(self, tmp_path, monkeypatch):
+        good = tmp_path / "good.pgm"
+        good.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        (tmp_path / "dir.pgm").mkdir()
+        cases = {
+            "absent.pgm": None,
+            "dir.pgm": None,
+            "truncated.pgm": b"P5\n2 2\n65535\n" + bytes(7),
+            "header.pgm": b"P5\n2 x\n65535\n" + bytes(8),
+            "maxval.pgm": b"P2\n2 2\n100\n1 2 3 200\n",
+        }
+        for name, data in cases.items():
+            if data is not None:
+                (tmp_path / name).write_bytes(data)
+        before = len(os.listdir("/proc/self/fd"))
+        # with no header kept, and with one, which sizes the read without fstat
+        for keep_header in (False, True):
+            for name in cases:
+                if keep_header:
+                    load_pgm(good)
+                else:
+                    monkeypatch.setattr(frame_module, "_last_header", None)
+                with pytest.raises((OSError, PgmError)):
+                    load_pgm(tmp_path / name)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     # Netpbm numbers are ASCII decimal digits, and the magic is a whole token
     @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from thermal_sentry.frame import ThermalFrame, write_pgm
-from thermal_sentry.hybrid import hybrid_step
-from thermal_sentry.motion import MotionConfig, MotionState, motion_step
-from thermal_sentry.roi import RoiConfig, roi_analyze
+from thermal_sentry.frame import QuadrantId, ThermalFrame, write_pgm
+from thermal_sentry.hybrid import Detection, hybrid_step
+from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
+from thermal_sentry.roi import RoiConfig, RoiResult, roi_analyze
 from thermal_sentry.cli import main
 from conftest import make_frame, uniform_frame
 
@@ -146,3 +147,51 @@ class TestUnionProperty:
         state = MotionState()
         dets = [hybrid_step(state, global_shift_frame(t, 100)) for t in range(5)]
         assert all(d.elapsed_us > 0 for d in dets)
+
+
+# Each per-frame result record with its field names in order and one set of
+# values for them.
+_MOTION = (True, 1000, 960, False, False, False)
+_ROI = (70.5, {q: 70.5 + q for q in QuadrantId}, {q: q == 3 for q in QuadrantId}, True)
+RECORDS = [
+    (MotionResult, ("movement", "active_count", "required_count",
+                    "background_updated", "indeterminate", "forced_refresh"), _MOTION),
+    (RoiResult, ("frame_mean", "quadrant_means", "flags", "any"), _ROI),
+    (Detection, ("frame_index", "verdict", "elapsed_us", "motion", "roi"),
+     (4, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI))),
+]
+
+
+@pytest.mark.parametrize("record, names, values", RECORDS,
+                         ids=[record.__name__ for record, _, _ in RECORDS])
+class TestResultRecords:
+    """The contract of the records the detectors return, whatever class
+    implements them: the tests, the benchmark and callers build and read
+    them by position and by name."""
+
+    def test_field_names_in_order(self, record, names, values):
+        assert tuple(inspect.signature(record).parameters) == names
+
+    def test_positional_construction(self, record, names, values):
+        built = record(*values)
+        assert tuple(getattr(built, name) for name in names) == values
+        assert built == record(**dict(zip(names, values)))
+
+    def test_fields_cannot_be_assigned(self, record, names, values):
+        built = record(*values)
+        for name, value in zip(names, values):
+            with pytest.raises(AttributeError):
+                setattr(built, name, value)
+        assert tuple(getattr(built, name) for name in names) == values
+
+    def test_equal_fields_compare_equal(self, record, names, values):
+        assert record(*values) == record(*values)
+        assert not record(*values) != record(*values)
+        changed = (not values[0],) + values[1:] if record is MotionResult else (
+            (values[0] + 1,) + values[1:])
+        assert record(*values) != record(*changed)
+
+
+def test_forced_refresh_defaults_to_false():
+    # the zone tests and acceptance C10 build MotionResult from five values
+    assert MotionResult(False, 0, 1, True, False).forced_refresh is False

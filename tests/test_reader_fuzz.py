@@ -4,6 +4,11 @@ Each reader must either return a value or raise its documented error, whose
 message the command line prints with exit code 2; any other exception would
 escape as a traceback. Lines mix the reader's own keys and values with
 arbitrary text, so that generated files get past the first check.
+
+Keys are drawn from a few names, so a file often sets one key twice. A
+reader that returns a value must then have seen no key twice (`blob=` in a
+scene excepted): a later line that silently overrides an earlier one is an
+error nobody sees.
 """
 
 import math
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 from thermal_sentry.cli import _CONFIG_KEYS, _load_config_file
 from thermal_sentry.evaluate import DatasetError, GroundTruthLabel, read_labels
+from thermal_sentry.keyvalue import key_value_lines
 from thermal_sentry.synth import SceneError, SceneSpec, parse_scene
 from thermal_sentry.zones import ZoneConfig, ZoneConfigError, parse_zone_config
 
@@ -35,6 +41,12 @@ def lines_of(*line_strategies):
     ).map(lambda parts: parts[1].join(parts[0]))
 
 
+def repeats_a_key(text, normalize=str, repeatable=()):
+    keys = [normalize(key) for _, _, key, _ in key_value_lines(text)
+            if key not in repeatable]
+    return len(keys) != len(set(keys))
+
+
 def key_values(keys, values):
     return st.tuples(st.sampled_from(keys), st.sampled_from(["=", " = ", ":", ""]),
                      values).map("".join)
@@ -46,6 +58,7 @@ class TestConfigReader:
         key_values(sorted(_CONFIG_KEYS) + ["roi-ratio", "MODE", "bogus"],
                    st.one_of(numbers, st.sampled_from(["parallel", "sequential"]))),
     ))
+    @example(text="active_delta=5\nactive-delta=50")
     def test_returns_settings_or_value_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("config") / "sentry.conf"
         path.write_text(text)
@@ -56,6 +69,7 @@ class TestConfigReader:
             assert str(exc).startswith(f"{path}:")
             return
         assert set(settings_) <= set(_CONFIG_KEYS)
+        assert not repeats_a_key(path.read_text(), lambda key: key.replace("-", "_"))
 
 
 class TestZoneReader:
@@ -65,12 +79,14 @@ class TestZoneReader:
                    st.one_of(numbers, st.sampled_from(
                        ["ignore", "warning", "CRITICAL", "stop"]))),
     ))
+    @example(text="Q3=critical\nq3=ignore")
     def test_returns_config_or_zone_config_error(self, text):
         try:
             config = parse_zone_config(text)
         except ZoneConfigError:
             return
         assert isinstance(config, ZoneConfig)
+        assert not repeats_a_key(text)
 
 
 waypoints = st.tuples(numbers, numbers, numbers).map(":".join)
@@ -98,12 +114,14 @@ class TestSceneReader:
     ))
     @example(text="frames=4\nambient=nan")
     @example(text="frames=4\nblob=900,2,human,0:1e999:4")
+    @example(text="frames=10\nframes=20")
     def test_returns_finite_scene_or_scene_error(self, text):
         try:
             spec = parse_scene(text)
         except SceneError:
             return
         assert all(math.isfinite(v) for group in scene_numbers(spec) for v in group)
+        assert not repeats_a_key(text, repeatable=("blob",))
 
 
 label_rows = st.tuples(

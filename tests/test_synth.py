@@ -294,6 +294,19 @@ blob=250,5,object,0:130:20
         with pytest.raises(SceneError, match="unknown key"):
             parse_scene("frames=5\nwobble=3\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("frames=10\nframes=20\n", "line 2: frames repeats line 1"),
+        ("frames=4\nseed=1\nwidth=16\nSEED=1\n", "line 4: seed repeats line 2"),
+        ("frames=4\ndrift=0.1\ndrift = 0.2\n", "line 3: drift repeats line 2"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(SceneError, match=message):
+            parse_scene(text)
+
+    def test_blob_lines_repeat(self):
+        spec = parse_scene("frames=4\nblob=900,2,human,0:1:1\nblob=900,2,human,0:1:1\n")
+        assert len(spec.blobs) == 2
+
     def test_readme_example_parses(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         section = readme.split("**Scene files**", 1)[1]

@@ -80,6 +80,17 @@ class TestParse:
         with pytest.raises(ZoneConfigError, match="key=value"):
             parse_zone_config("just words")
 
+    @pytest.mark.parametrize("text, message", [
+        # a later line must not silently turn a Critical quadrant off
+        ("Q3=critical\nq3=ignore", "line 2: q3 repeats line 1"),
+        ("q3=critical\n# again\nQ3=critical", "line 3: q3 repeats line 1"),
+        ("debounce=3\nQ0=warning\ndebounce=5", "line 3: debounce repeats line 1"),
+        ("clear=2\nCLEAR=2", "line 2: clear repeats line 1"),
+    ])
+    def test_repeated_key_rejected(self, text, message):
+        with pytest.raises(ZoneConfigError, match=message):
+            parse_zone_config(text)
+
 
 class TestStateMachine:
     def test_no_flags_means_run_forever(self):

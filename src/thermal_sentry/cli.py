@@ -174,16 +174,14 @@ def build_parser(defaults: dict | None = None) -> _Parser:
 
 def _load_config_file(path: str) -> dict:
     defaults = {}
-    seen: dict[str, int] = {}
-    for lineno, raw, key, value in key_value_lines(Path(path).read_text()):
-        key = key.replace("-", "_")
+    lines = key_value_lines(Path(path).read_text(), lambda key: key.replace("-", "_"))
+    for lineno, raw, key, value, earlier in lines:
         if value is None:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {raw!r}")
-        if key in seen:
-            raise ValueError(f"{path}:{lineno}: {key} repeats line {seen[key]}")
-        seen[key] = lineno
+        if earlier is not None:
+            raise ValueError(f"{path}:{lineno}: {key} repeats line {earlier}")
         try:
             defaults[key] = _CONFIG_KEYS[key](value)
         except (ValueError, argparse.ArgumentTypeError):

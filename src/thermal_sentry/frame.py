@@ -107,25 +107,21 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
     return _own_frame(diff, a.frame_index)
 
 
-# (header bytes, parsed header, file length) of the last file that decoded.
-# The header bytes run to the byte after maxval, which `_NUMBER`'s lookahead
-# reads.
-_last_header: tuple[bytes, tuple[bytes, int, int, int, int], int] | None = None
-# how much each read asks for once a file has turned out longer than expected
+# (header bytes, parsed header) of the last file that decoded. The header
+# bytes run to the byte after maxval, which `_NUMBER`'s lookahead reads.
+_last_header: tuple[bytes, tuple[bytes, int, int, int, int]] | None = None
+# how much each read asks for once a file has turned out longer than fstat said
 _READ_CHUNK = 1 << 16
 
 
-def _read_file(path: str | Path, size: int | None) -> bytes:
-    """The whole content of a file expected to be `size` bytes long (None:
-    ask fstat), read with raw `os` calls, which cost about half of what a
-    Python file object does. The first read asks for one byte more than
-    expected and the reads go on to the end of the file, so a file of any
-    other length is still read whole."""
+def _read_file(path: str | Path) -> bytes:
+    """The whole content of a file, read with raw `os` calls, which cost
+    about half of what a Python file object does. The first read asks for
+    one byte more than fstat reports and the reads go on to the end of the
+    file, so a file that grows, or a pipe, is still read whole."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        if size is None:
-            size = os.fstat(fd).st_size
-        data = os.read(fd, size + 1)
+        data = os.read(fd, os.fstat(fd).st_size + 1)
         # a short read ends a regular file but not a pipe, so one more read
         # must come back empty; asking it for a single byte allocates no
         # large buffer
@@ -153,11 +149,11 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     leading bytes equal the header of the last file that decoded reuses
     that parse, because equal bytes parse the same. The header is kept only
     after its file has decoded, and the checks on the payload run on every
-    file. The file is read expecting the last decoded file's length.
+    file.
     """
     global _last_header
+    data = _read_file(path)
     last = _last_header
-    data = _read_file(path, None if last is None else last[2])
     if last is not None and data.startswith(last[0]):
         header = last[1]
     else:
@@ -205,7 +201,7 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     # a full-range 16-bit maxval admits every stored value
     if maxval < MAX_COUNT and int(values.max()) > maxval:
         raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
-    _last_header = (data[: pos + 1], header, len(data))
+    _last_header = (data[: pos + 1], header)
     return _own_frame(values.reshape(height, width))
 
 

@@ -220,17 +220,15 @@ def parse_scene(text: str) -> SceneSpec:
     `blob=` lines repeat.
     """
     settings: dict[str, object] = {}
-    seen: dict[str, int] = {}
     blobs: list[BlobSpec] = []
-    for lineno, raw, key, value in key_value_lines(text):
+    for lineno, raw, key, value, earlier in key_value_lines(text):
         if value is None:
             raise SceneError(f"line {lineno}: expected key=value, got {raw!r}")
         if key == "blob":
             blobs.append(_parse_blob(lineno, value))
         elif key in _SCENE_KEYS:
-            if key in seen:
-                raise SceneError(f"line {lineno}: {key} repeats line {seen[key]}")
-            seen[key] = lineno
+            if earlier is not None:
+                raise SceneError(f"line {lineno}: {key} repeats line {earlier}")
             try:
                 parsed = _SCENE_KEYS[key](value)
             except ValueError:

@@ -158,13 +158,11 @@ def parse_zone_config(text: str) -> ZoneConfig:
     """
     classes = _all_ignore()
     counts = {"debounce": 3, "clear": 3}
-    seen: dict[str, int] = {}
-    for lineno, raw, key, value in key_value_lines(text):
+    for lineno, raw, key, value, earlier in key_value_lines(text):
         if value is None:
             raise ZoneConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        if key in seen:
-            raise ZoneConfigError(f"line {lineno}: {key} repeats line {seen[key]}")
-        seen[key] = lineno
+        if earlier is not None:
+            raise ZoneConfigError(f"line {lineno}: {key} repeats line {earlier}")
         value = value.lower()
         if key in counts:
             try:

@@ -551,7 +551,7 @@ class TestHeaderMemoAgainstFreshParse:
 # ---------------------------------------------------------------- read path
 
 
-def reference_read(path, size):
+def reference_read(path):
     """How `load_pgm` read a file before it used raw `os` calls."""
     with open(path, "rb") as fh:
         return fh.read()

@@ -197,7 +197,7 @@ class TestPgm:
             if data is not None:
                 (tmp_path / name).write_bytes(data)
         before = len(os.listdir("/proc/self/fd"))
-        # with no header kept, and with one, which sizes the read without fstat
+        # with no header kept, and with one
         for keep_header in (False, True):
             for name in cases:
                 if keep_header:

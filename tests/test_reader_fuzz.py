@@ -42,7 +42,7 @@ def lines_of(*line_strategies):
 
 
 def repeats_a_key(text, normalize=str, repeatable=()):
-    keys = [normalize(key) for _, _, key, _ in key_value_lines(text)
+    keys = [normalize(key) for _, _, key, _, _ in key_value_lines(text)
             if key not in repeatable]
     return len(keys) != len(set(keys))
 

@@ -15,9 +15,8 @@ import stat
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Mapping
 
-from .frame import QUADRANTS, QuadrantId, replay_dir, replay_files
+from .frame import replay_dir, replay_files
 from .hybrid import hybrid_step
 from .keyvalue import key_value_lines
 from .motion import MotionConfig, MotionState
@@ -199,28 +198,39 @@ def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
     return motion_cfg, roi_cfg
 
 
+def _decimal3(x: float) -> str:
+    """`float.__repr__(round(x, 3))`, which is `x` rounded to 3 decimals and
+    written without trailing zeros past the first decimal. Inside +-1e12 a
+    3-decimal value has at most 15 significant digits, so that repr is
+    exactly the fixed-point text, and fixed-point formatting (correctly
+    rounded, as round() is) costs less than round() plus repr."""
+    if -1e12 < x < 1e12:
+        text = f"{x:.3f}".rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return float.__repr__(round(x, 3))
+
+
 def record_line(
     frame: int,
     verdict: bool,
     movement: bool | None,
     active_count: int | None,
-    quadrant_means: Mapping[QuadrantId, float],
-    flags: Mapping[QuadrantId, bool],
+    quadrant_means: tuple[float, float, float, float],
+    flags: tuple[bool, bool, bool, bool],
     state: str,
     elapsed_us: float,
 ) -> str:
     """One detection record as an NDJSON line: the bytes of `json.dumps` of
-    the record, with means and elapsed_us rounded to 3 decimals."""
-    q0, q1, q2, q3 = QUADRANTS
+    the record, with means and elapsed_us rounded to 3 decimals. The means
+    and flags come in QuadrantId order."""
+    m0, m1, m2, m3 = quadrant_means
+    f0, f1, f2, f3 = flags
     return _RECORD(
         frame, _LITERAL[verdict], _LITERAL[movement],
         "null" if active_count is None else active_count,
-        float.__repr__(round(quadrant_means[q0], 3)),
-        float.__repr__(round(quadrant_means[q1], 3)),
-        float.__repr__(round(quadrant_means[q2], 3)),
-        float.__repr__(round(quadrant_means[q3], 3)),
-        _LITERAL[flags[q0]], _LITERAL[flags[q1]], _LITERAL[flags[q2]], _LITERAL[flags[q3]],
-        state, float.__repr__(round(elapsed_us, 3)),
+        _decimal3(m0), _decimal3(m1), _decimal3(m2), _decimal3(m3),
+        _LITERAL[f0], _LITERAL[f1], _LITERAL[f2], _LITERAL[f3],
+        state, _decimal3(elapsed_us),
     )
 
 

@@ -187,15 +187,18 @@ def timed_steps(
     to back (the hybrid), in microseconds, to `samples`.
     """
     state = MotionState(motion_config or MotionConfig())
+    # Method's hash is a Python function, so each list is looked up once
+    b_us, a_us = samples[Method.METHOD_B], samples[Method.METHOD_A]
+    hybrid_us = samples[Method.HYBRID]
     for frame in frames:
         t0 = time.perf_counter_ns()
         roi = roi_analyze(frame, roi_config)
         t1 = time.perf_counter_ns()
         motion = motion_step(state, frame)
         t2 = time.perf_counter_ns()
-        samples[Method.METHOD_B].append((t1 - t0) / 1000.0)
-        samples[Method.METHOD_A].append((t2 - t1) / 1000.0)
-        samples[Method.HYBRID].append((t2 - t0) / 1000.0)
+        b_us.append((t1 - t0) / 1000.0)
+        a_us.append((t2 - t1) / 1000.0)
+        hybrid_us.append((t2 - t0) / 1000.0)
         yield roi, motion
 
 
@@ -213,6 +216,8 @@ def run_eval(
     labels = read_labels(labels_path)
     preds: dict[Method, list[bool]] = {m: [] for m in Method}
     samples: dict[Method, list[float]] = {m: [] for m in Method}
+    a_preds, b_preds = preds[Method.METHOD_A], preds[Method.METHOD_B]
+    hybrid_preds = preds[Method.HYBRID]
     steps = timed_steps(replay_dir(dataset_dir), samples, motion_config, roi_config)
     for count, (roi, motion) in enumerate(steps):
         if count >= len(labels):
@@ -222,10 +227,10 @@ def run_eval(
                 f"label misalignment: expected frame {count}, "
                 f"got {labels[count].frame_index}"
             )
-        preds[Method.METHOD_A].append(motion.movement)
-        preds[Method.METHOD_B].append(roi.any)
-        preds[Method.HYBRID].append(roi.any or motion.movement)
-    count = len(preds[Method.HYBRID])
+        a_preds.append(motion.movement)
+        b_preds.append(roi.any)
+        hybrid_preds.append(roi.any or motion.movement)
+    count = len(hybrid_preds)
     if count == 0:
         raise DatasetError(f"{dataset_dir}: dataset contains no frames")
     if count < len(labels):

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .frame import MAX_COUNT, QUADRANTS, QuadrantId, ThermalFrame
+from .frame import MAX_COUNT, ThermalFrame
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,13 @@ class RoiConfig:
 
 
 class RoiResult(NamedTuple):
-    """Outcome of one quadrant analysis."""
+    """Outcome of one quadrant analysis. `quadrant_means` and `flags` hold
+    one value per quadrant in QuadrantId order, so `flags[QuadrantId.Q2]`
+    is quadrant Q2's flag."""
 
     frame_mean: float
-    quadrant_means: Mapping[QuadrantId, float]
-    flags: Mapping[QuadrantId, bool]
+    quadrant_means: tuple[float, float, float, float]
+    flags: tuple[bool, bool, bool, bool]
     any: bool
 
 
@@ -80,17 +82,21 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig | None = None) -> RoiResu
     # the four sums come out in QuadrantId order.
     accumulator = np.uint32 if hh * MAX_COUNT < 2**32 else np.uint64
     columns = frame.pixels.reshape(2, hh, frame.width).sum(axis=1, dtype=accumulator)
-    sums = columns.reshape(4, hw).sum(axis=1, dtype=np.int64).tolist()
-    total = sum(sums)
+    s0, s1, s2, s3 = columns.reshape(4, hw).sum(axis=1, dtype=np.int64).tolist()
+    total = s0 + s1 + s2 + s3
 
     bar = num * total
+    scale = 4 * den
     floor = cfg.min_quadrant_mean * quad_count
-    flags = {
-        qid: 4 * den * s > bar and s >= floor for qid, s in zip(QUADRANTS, sums)
-    }
+    flags = (
+        scale * s0 > bar and s0 >= floor,
+        scale * s1 > bar and s1 >= floor,
+        scale * s2 > bar and s2 >= floor,
+        scale * s3 > bar and s3 >= floor,
+    )
     return RoiResult(
-        frame_mean=total / (4 * quad_count),
-        quadrant_means={qid: s / quad_count for qid, s in zip(QUADRANTS, sums)},
-        flags=flags,
-        any=any(flags.values()),
+        total / (4 * quad_count),
+        (s0 / quad_count, s1 / quad_count, s2 / quad_count, s3 / quad_count),
+        flags,
+        True in flags,
     )

@@ -194,12 +194,12 @@ class TestZoneMachine:
             state = ZoneState()
             log = []
             for i in range(total):
-                flags = {q: (q is QuadrantId.Q3 and i in flag_frames) for q in QuadrantId}
+                flags = tuple(q is QuadrantId.Q3 and i in flag_frames for q in QuadrantId)
                 roi = RoiResult(
                     frame_mean=0.0,
-                    quadrant_means={q: 0.0 for q in QuadrantId},
+                    quadrant_means=(0.0, 0.0, 0.0, 0.0),
                     flags=flags,
-                    any=any(flags.values()),
+                    any=any(flags),
                 )
                 motion = MotionResult(False, 0, 1, True, False)
                 det = Detection(i, roi.any, 1.0, motion, roi)

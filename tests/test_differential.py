@@ -12,14 +12,15 @@ The per-stream shortcuts of `detect` are checked the same way: the PGM
 header parsed once per stream against a fresh parse per file, files read
 with raw `os` calls against `open().read()`, the directory listing against
 `pathlib` globbing, and the record and zone-event formatters against
-`json.dumps`.
+`json.dumps`. The zone machine is checked frame by frame against a copy of
+its dict-based version, for any rewrite of its per-frame Python.
 """
 
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,9 +40,18 @@ from thermal_sentry.frame import (
     load_pgm,
     replay_dir,
 )
+from thermal_sentry.hybrid import Detection
 from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
 from thermal_sentry.roi import RoiConfig, RoiResult, roi_analyze
-from thermal_sentry.zones import SafetyState, ZoneEvent, ZoneEventKind
+from thermal_sentry.zones import (
+    SafetyState,
+    ZoneClass,
+    ZoneConfig,
+    ZoneEvent,
+    ZoneEventKind,
+    ZoneState,
+    zone_update,
+)
 
 # ---------------------------------------------------------------- reference
 
@@ -71,8 +81,8 @@ def reference_roi_analyze(frame, config=None):
     }
     return RoiResult(
         frame_mean=total / (4 * quad_count),
-        quadrant_means={qid: s / quad_count for qid, s in sums.items()},
-        flags=flags,
+        quadrant_means=tuple(sums[qid] / quad_count for qid in QuadrantId),
+        flags=tuple(flags[qid] for qid in QuadrantId),
         any=any(flags.values()),
     )
 
@@ -161,6 +171,67 @@ def reference_p5_payload(data, offset, maxval):
     whatever (often odd) offset the header leaves."""
     dtype = ">u2" if maxval > 255 else np.uint8
     return np.frombuffer(data, dtype=dtype, offset=offset).astype(np.uint16)
+
+
+@dataclass
+class ReferenceZoneState:
+    """Mutable per-stream occupancy and state-machine memory."""
+
+    state: SafetyState = SafetyState.RUN
+    flag_streak: dict[QuadrantId, int] = field(
+        default_factory=lambda: {q: 0 for q in QuadrantId}
+    )
+    clear_streak: dict[QuadrantId, int] = field(
+        default_factory=lambda: {q: 0 for q in QuadrantId}
+    )
+    occupied: set[QuadrantId] = field(default_factory=set)
+    unlocalized_hold: int = 0
+
+
+def reference_zone_update(state, detection, config):
+    roi = detection.roi
+    index = detection.frame_index
+    events: list[ZoneEvent] = []
+
+    for q in QUADRANTS:
+        if roi.flags[q]:
+            state.flag_streak[q] += 1
+            state.clear_streak[q] = 0
+            if q not in state.occupied and state.flag_streak[q] >= config.debounce_frames:
+                state.occupied.add(q)
+                events.append(ZoneEvent(index, ZoneEventKind.ENTERED, quadrant=q))
+        else:
+            state.clear_streak[q] += 1
+            state.flag_streak[q] = 0
+            if q in state.occupied and state.clear_streak[q] >= config.clear_frames:
+                state.occupied.discard(q)
+                events.append(ZoneEvent(index, ZoneEventKind.CLEARED, quadrant=q))
+
+    if detection.verdict and not roi.any:
+        # movement with no quadrant to localize: hold at least Slow for one
+        # debounce window starting at this frame
+        state.unlocalized_hold = config.debounce_frames
+
+    target = SafetyState.RUN
+    if any(config.zone_class[q] is ZoneClass.CRITICAL for q in state.occupied):
+        target = SafetyState.STOP
+    elif any(config.zone_class[q] is ZoneClass.WARNING for q in state.occupied):
+        target = SafetyState.SLOW
+    if state.unlocalized_hold > 0:
+        target = max(target, SafetyState.SLOW)
+        state.unlocalized_hold -= 1
+
+    if target is not state.state:
+        events.append(
+            ZoneEvent(
+                index,
+                ZoneEventKind.STATE_CHANGED,
+                from_state=state.state,
+                to_state=target,
+            )
+        )
+        state.state = target
+    return target, events
 
 
 # ---------------------------------------------------------------- helpers
@@ -323,6 +394,43 @@ class TestMotionAgainstReference:
         assert got.movement is (count >= 960)
 
 
+# ---------------------------------------------------------------- zone machine
+
+
+class TestZoneUpdateAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # runs of one flag tuple and movement bit, so that streaks reach the
+        # debounce and clear counts
+        runs=st.lists(
+            st.tuples(st.tuples(*[st.booleans()] * 4), st.booleans(), st.integers(1, 5)),
+            min_size=1,
+            max_size=20,
+        ),
+        debounce=st.integers(1, 4),
+        clear=st.integers(1, 4),
+        classes=st.tuples(*[st.sampled_from(list(ZoneClass))] * 4),
+    )
+    def test_state_and_events_frame_by_frame(self, runs, debounce, clear, classes):
+        config = ZoneConfig(dict(zip(QuadrantId, classes)), debounce, clear)
+        state, reference = ZoneState(), ReferenceZoneState()
+        stream = [(flags, movement) for flags, movement, n in runs for _ in range(n)]
+        for index, (flags, movement) in enumerate(stream):
+            roi = RoiResult(0.0, (0.0, 0.0, 0.0, 0.0), flags, any(flags))
+            motion = MotionResult(movement, 0, 1, not movement, False)
+            detection = Detection(index, roi.any or movement, 1.0, motion, roi)
+            got, events = zone_update(state, detection, config)
+            expected, expected_events = reference_zone_update(reference, detection, config)
+            assert got is expected
+            assert events == expected_events
+            assert state.state is reference.state
+            for q in QuadrantId:
+                assert state.flag_streak[q] == reference.flag_streak[q]
+                assert state.clear_streak[q] == reference.clear_streak[q]
+            assert state.occupied == reference.occupied
+            assert state.unlocalized_hold == reference.unlocalized_hold
+
+
 # ---------------------------------------------------------------- PGM header
 
 whitespace = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
@@ -461,7 +569,7 @@ class TestRoiAccumulatorAgainstReference:
         got = roi_analyze(frame)
         assert got == reference_roi_analyze(frame)
         if fill == "all":
-            assert got.quadrant_means == {q: 65535.0 for q in QuadrantId}
+            assert got.quadrant_means == (65535.0, 65535.0, 65535.0, 65535.0)
 
 
 # ---------------------------------------------------------------- header memo
@@ -730,12 +838,21 @@ def reference_record_line(frame, verdict, movement, active_count, means, flags,
     }) + "\n"
 
 
-# floats whose rounding or repr is easy to get wrong
+# floats whose rounding or repr is easy to get wrong; the formatter writes
+# fixed-point text inside +-1e12 and falls back to round() + repr outside,
+# where a 3-decimal value can need more digits than repr gives it
+# (-9127324436400.11 is -9127324436400.109 in fixed point)
+BOUND = 1e12
 record_floats = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-05, 5e-324, 1e16, 1.5e16, 1e22, 0.1 + 0.2, 2.675,
-                     1.0005, 0.0005, 0.0015, 123.4565, 9.9995, 65535.0, 4.5e-4]),
-    st.integers(0, 10**7).map(lambda k: k / 1000 + 0.0005),
+                     1.0005, 0.0005, 0.0015, 123.4565, 9.9995, 65535.0, 4.5e-4,
+                     BOUND, -BOUND, math.nextafter(BOUND, 0), math.nextafter(BOUND, math.inf),
+                     math.nextafter(-BOUND, 0), math.nextafter(-BOUND, -math.inf),
+                     999999999999.9995, -999999999999.9995, 2.0**42, 2.0**43,
+                     -9127324436400.11, -2.675, -0.0005, -0.0015, -1.0005, -123.4565]),
+    st.integers(-10**7, 10**7).map(lambda k: k / 1000 + 0.0005),
     st.integers(0, 65535 * 10**4).map(lambda k: k / 10**4),
+    st.floats(min_value=-2 * BOUND, max_value=2 * BOUND),
     st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
 )
 
@@ -754,8 +871,7 @@ class TestRecordLineAgainstJson:
     def test_byte_equal_to_json_dumps(self, frame, verdict, motion, means, flags,
                                       state, elapsed_us):
         movement, active_count = motion if motion else (None, None)
-        args = (frame, verdict, movement, active_count, dict(zip(QUADRANTS, means)),
-                dict(zip(QUADRANTS, flags)), state, elapsed_us)
+        args = (frame, verdict, movement, active_count, means, flags, state, elapsed_us)
         assert record_line(*args) == reference_record_line(*args)
 
 

@@ -360,7 +360,7 @@ class TestSplitQuadrants:
         means = roi_analyze(ThermalFrame(width, height, pixels)).quadrant_means
         quad_count = (width // 2) * (height // 2)
         owner = QuadrantId(2 * (y >= height // 2) + (x >= width // 2))
-        assert means == {q: 1000 / quad_count if q is owner else 0.0 for q in QuadrantId}
+        assert means == tuple(1000 / quad_count if q is owner else 0.0 for q in QuadrantId)
 
 
 class TestReplayDir:

@@ -152,7 +152,7 @@ class TestUnionProperty:
 # Each per-frame result record with its field names in order and one set of
 # values for them.
 _MOTION = (True, 1000, 960, False, False, False)
-_ROI = (70.5, {q: 70.5 + q for q in QuadrantId}, {q: q == 3 for q in QuadrantId}, True)
+_ROI = (70.5, tuple(70.5 + q for q in QuadrantId), tuple(q == 3 for q in QuadrantId), True)
 RECORDS = [
     (MotionResult, ("movement", "active_count", "required_count",
                     "background_updated", "indeterminate", "forced_refresh"), _MOTION),

@@ -41,21 +41,16 @@ class TestRoiAnalyze:
     def test_uniform_frame_has_no_flags(self):
         result = roi_analyze(uniform_frame(8, 6, 100))
         assert result.frame_mean == 100.0
-        assert all(m == 100.0 for m in result.quadrant_means.values())
+        assert all(m == 100.0 for m in result.quadrant_means)
         assert not result.any
-        assert not any(result.flags.values())
+        assert not any(result.flags)
 
     def test_hand_example_one_hot_quadrant(self):
         # means: Q0=200 rest 100; frame mean 125; bar 150, so only Q0
         result = roi_analyze(quadrant_frame(200, 100, 100, 100))
         assert result.frame_mean == 125.0
         assert result.quadrant_means[QuadrantId.Q0] == 200.0
-        assert result.flags == {
-            QuadrantId.Q0: True,
-            QuadrantId.Q1: False,
-            QuadrantId.Q2: False,
-            QuadrantId.Q3: False,
-        }
+        assert result.flags == (True, False, False, False)
         assert result.any
 
     def test_all_zero_frame_is_negative(self):
@@ -100,7 +95,7 @@ class TestRoiAnalyze:
     def test_any_is_disjunction(self):
         for frame in (quadrant_frame(200, 100, 100, 100), uniform_frame(4, 4, 9)):
             result = roi_analyze(frame)
-            assert result.any == any(result.flags.values())
+            assert result.any == any(result.flags)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -20,12 +20,12 @@ from thermal_sentry.zones import (
 
 def detection(frame_index, flags=(), verdict=None):
     """Detection stub carrying only what the zone machine reads."""
-    flag_map = {q: q in flags for q in QuadrantId}
+    flag_tuple = tuple(q in flags for q in QuadrantId)
     roi = RoiResult(
         frame_mean=0.0,
-        quadrant_means={q: 0.0 for q in QuadrantId},
-        flags=flag_map,
-        any=any(flag_map.values()),
+        quadrant_means=(0.0, 0.0, 0.0, 0.0),
+        flags=flag_tuple,
+        any=any(flag_tuple),
     )
     if verdict is None:
         verdict = roi.any

@@ -178,15 +178,15 @@ def write_labels(labels: Iterable[GroundTruthLabel], path: str | Path) -> None:
 def timed_steps(
     frames: Iterable[ThermalFrame],
     samples: Mapping[Method, list[float]],
-    motion_config: MotionConfig | None = None,
-    roi_config: RoiConfig | None = None,
+    motion_config: MotionConfig = MotionConfig(),
+    roi_config: RoiConfig = RoiConfig(),
 ) -> Iterator[tuple[RoiResult, MotionResult]]:
     """Run both detectors over a stream, yielding (roi, motion) per frame.
 
     Each frame appends the time of method B, of method A and of the two back
     to back (the hybrid), in microseconds, to `samples`.
     """
-    state = MotionState(motion_config or MotionConfig())
+    state = MotionState(motion_config)
     # Method's hash is a Python function, so each list is looked up once
     b_us, a_us = samples[Method.METHOD_B], samples[Method.METHOD_A]
     hybrid_us = samples[Method.HYBRID]
@@ -205,13 +205,14 @@ def timed_steps(
 def run_eval(
     dataset_dir: str | Path,
     labels_path: str | Path,
-    motion_config: MotionConfig | None = None,
-    roi_config: RoiConfig | None = None,
+    motion_config: MotionConfig = MotionConfig(),
+    roi_config: RoiConfig = RoiConfig(),
 ) -> EvalReport:
     """Replay a labeled dataset once and score all three methods.
 
-    The indeterminate first frame counts as a negative prediction for
-    method A and the hybrid.
+    The first frame is the movement detector's own background, so it shows
+    no movement: a negative prediction for method A, and for the hybrid
+    unless method B flags it.
     """
     labels = read_labels(labels_path)
     preds: dict[Method, list[bool]] = {m: [] for m in Method}

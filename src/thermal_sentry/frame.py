@@ -80,7 +80,7 @@ class ThermalFrame:
         object.__setattr__(self, "pixels", arr)
 
 
-def _own_frame(pixels: np.ndarray, frame_index: int = 0) -> ThermalFrame:
+def _own_frame(pixels: np.ndarray) -> ThermalFrame:
     """Frame around a (height, width) uint16 array this module has just
     allocated and shares with no one: its shape and dtype are known valid, so
     it is made read-only in place instead of being validated and copied."""
@@ -90,13 +90,13 @@ def _own_frame(pixels: np.ndarray, frame_index: int = 0) -> ThermalFrame:
         width=pixels.shape[1],
         height=pixels.shape[0],
         pixels=pixels,
-        frame_index=frame_index,
+        frame_index=0,
     )
     return frame
 
 
-def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
-    """Per-pixel |a - b|. The frame index is carried from `a`."""
+def abs_diff(a: ThermalFrame, b: ThermalFrame) -> np.ndarray:
+    """Per-pixel |a - b|, as a fresh (height, width) uint16 array."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(
             f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
@@ -104,7 +104,7 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> ThermalFrame:
     # max - min never wraps, so the difference is exact without widening
     diff = np.maximum(a.pixels, b.pixels)
     diff -= np.minimum(a.pixels, b.pixels)
-    return _own_frame(diff, a.frame_index)
+    return diff
 
 
 # (header bytes, parsed header) of the last file that decoded. The header

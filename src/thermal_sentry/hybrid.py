@@ -29,12 +29,12 @@ class Detection(NamedTuple):
 def hybrid_step(
     motion_state: MotionState,
     frame: ThermalFrame,
-    roi_config: RoiConfig | None = None,
+    roi_config: RoiConfig = RoiConfig(),
 ) -> Detection:
     """Run both detectors on one frame and OR their verdicts.
 
-    The indeterminate first frame counts as "no movement", so frame 0 is
-    carried by the quadrant method alone.
+    The first frame is the movement detector's own background, so it shows
+    no movement and frame 0 is carried by the quadrant method alone.
     """
     start = time.perf_counter_ns()
     roi = roi_analyze(frame, roi_config)

@@ -1,13 +1,15 @@
 """Movement detection by background subtraction (method A).
 
-The first frame of a stream seeds the reference background. Every later
-frame is differenced against it pixel by pixel; pixels whose absolute
-difference reaches `active_pixel_delta` are "active", and the frame signals
-movement when the active count reaches the configured fraction of all
-pixels. A frame without movement replaces the background, so slow ambient
-changes (sunlight, daily temperature swings) are absorbed instead of
-accumulating into false positives. Static heat sources never move relative
-to the background and are therefore ignored after the first frame.
+Each frame is differenced against a reference background pixel by pixel;
+pixels whose absolute difference reaches `active_pixel_delta` are "active",
+and the frame signals movement when the active count reaches the
+configured fraction of all pixels. A frame without movement replaces the
+background, so slow ambient changes (sunlight, daily temperature swings)
+are absorbed instead of accumulating into false positives. The first frame
+of a stream has nothing to be compared against and is its own background:
+none of its pixels is active, so it is a quiet frame and seeds the
+background. Static heat sources never move relative to the background and
+are therefore ignored after the first frame.
 """
 
 from __future__ import annotations
@@ -40,28 +42,27 @@ class MotionConfig:
     max_hold_frames: int | None = None
 
     def __post_init__(self) -> None:
-        if self.active_pixel_delta < 1:
-            raise ValueError("active_pixel_delta must be >= 1")
+        # NaN fails every comparison, so these checks reject it
+        if not 1 <= self.active_pixel_delta < math.inf:
+            raise ValueError("active_pixel_delta must be a finite number >= 1")
         if not 0.0 < self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in (0, 1]")
-        if self.max_hold_frames is not None and self.max_hold_frames < 1:
-            raise ValueError("max_hold_frames must be positive when set")
+        if not (self.max_hold_frames is None or 1 <= self.max_hold_frames < math.inf):
+            raise ValueError("max_hold_frames must be a finite number >= 1 when set")
 
 
 class MotionResult(NamedTuple):
     """Outcome of one detector step. A NamedTuple rather than a frozen
     dataclass: it is built every frame, and builds in about half the time.
 
-    `indeterminate` is True only for the very first frame, which has no
-    reference to compare against. `forced_refresh` marks background
-    replacements triggered by `max_hold_frames` rather than by a quiet frame.
+    `forced_refresh` marks background replacements triggered by
+    `max_hold_frames` rather than by a quiet frame.
     """
 
     movement: bool
     active_count: int
     required_count: int
     background_updated: bool
-    indeterminate: bool
     forced_refresh: bool = False
 
 
@@ -97,25 +98,14 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
     """
     cfg = state.config
     required = required_active_count(cfg.active_fraction, frame.width * frame.height)
-    if state.background is None:
-        state.background = frame
-        state.frames_since_update = 0
-        return MotionResult(
-            movement=False,
-            active_count=0,
-            required_count=required,
-            background_updated=True,
-            indeterminate=True,
-        )
-
-    background = state.background
+    background = frame if state.background is None else state.background
     if (frame.width, frame.height) != (background.width, background.height):
         raise ValueError(
             f"frame {frame.width}x{frame.height} does not match background "
             f"{background.width}x{background.height}"
         )
     diff = abs_diff(frame, background)
-    active = int(np.count_nonzero(diff.pixels >= cfg.active_pixel_delta))
+    active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
     movement = active >= required
 
     forced = False
@@ -137,6 +127,5 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
         active_count=active,
         required_count=required,
         background_updated=not movement or forced,
-        indeterminate=False,
         forced_refresh=forced,
     )

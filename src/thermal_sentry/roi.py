@@ -33,8 +33,8 @@ class RoiConfig:
         # NaN fails every comparison and infinity has no exact decimal
         if not math.isfinite(self.ratio) or self.ratio < 1.0:
             raise ValueError("ratio must be a finite number >= 1.0")
-        if self.min_quadrant_mean < 0:
-            raise ValueError("min_quadrant_mean must be >= 0")
+        if not 0 <= self.min_quadrant_mean < math.inf:
+            raise ValueError("min_quadrant_mean must be a finite number >= 0")
 
 
 class RoiResult(NamedTuple):
@@ -48,9 +48,6 @@ class RoiResult(NamedTuple):
     any: bool
 
 
-_DEFAULT_CONFIG = RoiConfig()
-
-
 @lru_cache(maxsize=64, typed=True)
 def _exact_ratio(ratio: float) -> tuple[int, int]:
     """Numerator and denominator of the decimal the caller wrote (1.2 is
@@ -59,7 +56,7 @@ def _exact_ratio(ratio: float) -> tuple[int, int]:
     return exact.numerator, exact.denominator
 
 
-def roi_analyze(frame: ThermalFrame, config: RoiConfig | None = None) -> RoiResult:
+def roi_analyze(frame: ThermalFrame, config: RoiConfig = RoiConfig()) -> RoiResult:
     """Flag quadrants whose mean stands out against the whole frame.
 
     The flag rule is evaluated in exact integer arithmetic so that "more
@@ -69,8 +66,7 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig | None = None) -> RoiResu
     the caller wrote (1.2 is exactly 6/5, not its binary float image), so
     with ratio = num/den the test is 4 * den * sum_q > num * F.
     """
-    cfg = config or _DEFAULT_CONFIG
-    num, den = _exact_ratio(cfg.ratio)
+    num, den = _exact_ratio(config.ratio)
     hh, hw = frame.height // 2, frame.width // 2
     quad_count = hh * hw
 
@@ -87,7 +83,7 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig | None = None) -> RoiResu
 
     bar = num * total
     scale = 4 * den
-    floor = cfg.min_quadrant_mean * quad_count
+    floor = config.min_quadrant_mean * quad_count
     flags = (
         scale * s0 > bar and s0 >= floor,
         scale * s1 > bar and s1 >= floor,

@@ -16,6 +16,7 @@ single-frame chatter without adding meaningful reaction delay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Mapping
@@ -40,6 +41,14 @@ class SafetyState(IntEnum):
     @property
     def label(self) -> str:
         return self.name.capitalize()
+
+
+# the state an occupied quadrant of each class demands
+_DEMAND = {
+    ZoneClass.IGNORE: SafetyState.RUN,
+    ZoneClass.WARNING: SafetyState.SLOW,
+    ZoneClass.CRITICAL: SafetyState.STOP,
+}
 
 
 class ZoneEventKind(Enum):
@@ -74,10 +83,14 @@ class ZoneConfig:
     def __post_init__(self) -> None:
         if set(self.zone_class) != set(QuadrantId):
             raise ValueError("zone_class must map every quadrant")
-        if self.debounce_frames < 1:
-            raise ValueError("debounce_frames must be >= 1")
-        if self.clear_frames < 1:
-            raise ValueError("clear_frames must be >= 1")
+        # a plain "critical" string would never demand Stop
+        if not all(isinstance(c, ZoneClass) for c in self.zone_class.values()):
+            raise ValueError("zone_class values must be ZoneClass members")
+        # NaN fails every comparison, so these checks reject it
+        if not 1 <= self.debounce_frames < math.inf:
+            raise ValueError("debounce_frames must be a finite number >= 1")
+        if not 1 <= self.clear_frames < math.inf:
+            raise ValueError("clear_frames must be a finite number >= 1")
 
 
 @dataclass
@@ -126,11 +139,8 @@ def zone_update(
         # debounce window starting at this frame
         state.unlocalized_hold = config.debounce_frames
 
-    target = SafetyState.RUN
-    if any(config.zone_class[q] is ZoneClass.CRITICAL for q in state.occupied):
-        target = SafetyState.STOP
-    elif any(config.zone_class[q] is ZoneClass.WARNING for q in state.occupied):
-        target = SafetyState.SLOW
+    classes = config.zone_class
+    target = max((_DEMAND[classes[q]] for q in state.occupied), default=SafetyState.RUN)
     if state.unlocalized_hold > 0:
         target = max(target, SafetyState.SLOW)
         state.unlocalized_hold -= 1

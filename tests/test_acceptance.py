@@ -201,7 +201,7 @@ class TestZoneMachine:
                     flags=flags,
                     any=any(flags),
                 )
-                motion = MotionResult(False, 0, 1, True, False)
+                motion = MotionResult(False, 0, 1, True)
                 det = Detection(i, roi.any, 1.0, motion, roi)
                 _, events = zone_update(state, det, cfg)
                 log.extend(events)

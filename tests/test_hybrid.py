@@ -55,10 +55,10 @@ class TestVerdictTable:
         assert det.verdict
 
     def test_first_frame_with_hot_quadrant(self):
-        # movement is indeterminate, the quadrant method carries frame 0
+        # frame 0 is its own background, the quadrant method carries it
         state = MotionState()
         det = hybrid_step(state, hot_quadrant_frame(0))
-        assert det.motion.indeterminate and not det.motion.movement
+        assert not det.motion.movement and det.motion.active_count == 0
         assert det.roi.any
         assert det.verdict
 
@@ -151,11 +151,11 @@ class TestUnionProperty:
 
 # Each per-frame result record with its field names in order and one set of
 # values for them.
-_MOTION = (True, 1000, 960, False, False, False)
+_MOTION = (True, 1000, 960, False, False)
 _ROI = (70.5, tuple(70.5 + q for q in QuadrantId), tuple(q == 3 for q in QuadrantId), True)
 RECORDS = [
     (MotionResult, ("movement", "active_count", "required_count",
-                    "background_updated", "indeterminate", "forced_refresh"), _MOTION),
+                    "background_updated", "forced_refresh"), _MOTION),
     (RoiResult, ("frame_mean", "quadrant_means", "flags", "any"), _ROI),
     (Detection, ("frame_index", "verdict", "elapsed_us", "motion", "roi"),
      (4, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI))),
@@ -193,5 +193,5 @@ class TestResultRecords:
 
 
 def test_forced_refresh_defaults_to_false():
-    # the zone tests and acceptance C10 build MotionResult from five values
-    assert MotionResult(False, 0, 1, True, False).forced_refresh is False
+    # the zone tests and acceptance C10 build MotionResult from four values
+    assert MotionResult(False, 0, 1, True).forced_refresh is False

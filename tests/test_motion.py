@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             MotionConfig(max_hold_frames=0)
 
+    # NaN fails every comparison: a NaN delta would make no pixel active and
+    # a NaN hold limit would never force a refresh
+    @pytest.mark.parametrize("field, value", [
+        ("active_pixel_delta", math.nan),
+        ("active_pixel_delta", math.inf),
+        ("max_hold_frames", math.nan),
+    ])
+    def test_rejects_value_that_switches_detection_off(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MotionConfig(**{field: value})
+
 
 class TestRequiredCount:
     def test_five_percent_of_19200_is_960(self):
@@ -58,14 +71,16 @@ class TestRequiredCount:
 
 
 class TestMotionStep:
-    def test_first_frame_is_indeterminate(self):
+    def test_first_frame_is_a_quiet_frame(self):
+        # the first frame is its own background: nothing is active
         state = MotionState()
-        result = motion_step(state, uniform_frame(4, 4, 100))
-        assert result.indeterminate
+        frame = uniform_frame(4, 4, 100)
+        result = motion_step(state, frame)
         assert not result.movement
         assert result.background_updated
         assert result.active_count == 0
-        assert state.background is not None
+        assert state.background is frame
+        assert state.frames_since_update == 0
 
     def test_identical_frame_refreshes_background(self):
         state = MotionState()

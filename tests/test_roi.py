@@ -36,6 +36,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             RoiConfig(min_quadrant_mean=-1)
 
+    # a NaN or infinite floor would flag no quadrant at all
+    @pytest.mark.parametrize("floor", [math.nan, math.inf])
+    def test_rejects_non_finite_floor(self, floor):
+        with pytest.raises(ValueError, match="min_quadrant_mean"):
+            RoiConfig(min_quadrant_mean=floor)
+
 
 class TestRoiAnalyze:
     def test_uniform_frame_has_no_flags(self):

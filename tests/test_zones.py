@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ def detection(frame_index, flags=(), verdict=None):
         frame_index=frame_index,
         verdict=verdict,
         elapsed_us=1.0,
-        motion=MotionResult(movement, 0, 1, not movement, False),
+        motion=MotionResult(movement, 0, 1, not movement),
         roi=roi,
     )
 
@@ -43,6 +45,20 @@ def critical_q3(debounce=3, clear=3):
     classes = {q: ZoneClass.IGNORE for q in QuadrantId}
     classes[QuadrantId.Q3] = ZoneClass.CRITICAL
     return ZoneConfig(zone_class=classes, debounce_frames=debounce, clear_frames=clear)
+
+
+class TestConfig:
+    def test_rejects_class_names_that_are_not_zone_classes(self):
+        # a plain "critical" string would never demand Stop
+        with pytest.raises(ValueError, match="zone_class"):
+            ZoneConfig({q: "critical" for q in QuadrantId})
+
+    # a NaN debounce would never mark a quadrant occupied
+    @pytest.mark.parametrize("value", [0, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["debounce_frames", "clear_frames"])
+    def test_rejects_count_that_is_not_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ZoneConfig(**{field: value})
 
 
 class TestParse:

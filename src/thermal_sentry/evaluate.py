@@ -14,13 +14,13 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .frame import QuadrantId, ThermalFrame, replay_dir
-from .motion import MotionConfig, MotionResult, MotionState, motion_step
-from .roi import RoiConfig, RoiResult, roi_analyze
+from .frame import QuadrantId, replay_dir
+from .motion import MotionConfig, MotionState, motion_step
+from .roi import RoiConfig, roi_analyze
 
 
 class DatasetError(ValueError):
@@ -175,33 +175,6 @@ def write_labels(labels: Iterable[GroundTruthLabel], path: str | Path) -> None:
             writer.writerow([label.frame_index, int(label.human_present), quadrants])
 
 
-def timed_steps(
-    frames: Iterable[ThermalFrame],
-    samples: Mapping[Method, list[float]],
-    motion_config: MotionConfig = MotionConfig(),
-    roi_config: RoiConfig = RoiConfig(),
-) -> Iterator[tuple[RoiResult, MotionResult]]:
-    """Run both detectors over a stream, yielding (roi, motion) per frame.
-
-    Each frame appends the time of method B, of method A and of the two back
-    to back (the hybrid), in microseconds, to `samples`.
-    """
-    state = MotionState(motion_config)
-    # Method's hash is a Python function, so each list is looked up once
-    b_us, a_us = samples[Method.METHOD_B], samples[Method.METHOD_A]
-    hybrid_us = samples[Method.HYBRID]
-    for frame in frames:
-        t0 = time.perf_counter_ns()
-        roi = roi_analyze(frame, roi_config)
-        t1 = time.perf_counter_ns()
-        motion = motion_step(state, frame)
-        t2 = time.perf_counter_ns()
-        b_us.append((t1 - t0) / 1000.0)
-        a_us.append((t2 - t1) / 1000.0)
-        hybrid_us.append((t2 - t0) / 1000.0)
-        yield roi, motion
-
-
 def run_eval(
     dataset_dir: str | Path,
     labels_path: str | Path,
@@ -210,17 +183,17 @@ def run_eval(
 ) -> EvalReport:
     """Replay a labeled dataset once and score all three methods.
 
-    The first frame is the movement detector's own background, so it shows
-    no movement: a negative prediction for method A, and for the hybrid
-    unless method B flags it.
+    Each frame is timed for method B, for method A and for the two back to
+    back (the hybrid). The first frame is the movement detector's own
+    background, so it shows no movement: a negative prediction for method
+    A, and for the hybrid unless method B flags it.
     """
     labels = read_labels(labels_path)
-    preds: dict[Method, list[bool]] = {m: [] for m in Method}
-    samples: dict[Method, list[float]] = {m: [] for m in Method}
-    a_preds, b_preds = preds[Method.METHOD_A], preds[Method.METHOD_B]
-    hybrid_preds = preds[Method.HYBRID]
-    steps = timed_steps(replay_dir(dataset_dir), samples, motion_config, roi_config)
-    for count, (roi, motion) in enumerate(steps):
+    state = MotionState(motion_config)
+    # one list per Method, in Method order
+    preds = a_preds, b_preds, hybrid_preds = [], [], []
+    samples = a_us, b_us, hybrid_us = [], [], []
+    for count, frame in enumerate(replay_dir(dataset_dir)):
         if count >= len(labels):
             raise DatasetError(f"no label for frame {count}")
         if labels[count].frame_index != count:
@@ -228,6 +201,14 @@ def run_eval(
                 f"label misalignment: expected frame {count}, "
                 f"got {labels[count].frame_index}"
             )
+        t0 = time.perf_counter_ns()
+        roi = roi_analyze(frame, roi_config)
+        t1 = time.perf_counter_ns()
+        motion = motion_step(state, frame)
+        t2 = time.perf_counter_ns()
+        b_us.append((t1 - t0) / 1000.0)
+        a_us.append((t2 - t1) / 1000.0)
+        hybrid_us.append((t2 - t0) / 1000.0)
         a_preds.append(motion.movement)
         b_preds.append(roi.any)
         hybrid_preds.append(roi.any or motion.movement)
@@ -239,11 +220,11 @@ def run_eval(
             f"label for frame {labels[count].frame_index} has no frame"
         )
 
-    matrices = {m: confusion(preds[m], labels) for m in Method}
+    matrices = {m: confusion(p, labels) for m, p in zip(Method, preds)}
     return EvalReport(
         matrices=matrices,
         accuracies={m: accuracy(matrices[m]) for m in Method},
-        latency={m: LatencyStats.from_samples(samples[m]) for m in Method},
+        latency={m: LatencyStats.from_samples(us) for m, us in zip(Method, samples)},
         frames_evaluated=count,
     )
 

@@ -71,28 +71,15 @@ class ThermalFrame:
             raise ValueError(
                 f"expected {self.width * self.height} pixels, got {arr.size}"
             )
-        if arr.dtype != np.uint16:
+        # unsigned values of up to 16 bits, in either byte order, are all in
+        # range; a dtype test costs far less than a scan of the values
+        if not (arr.dtype.kind == "u" and arr.dtype.itemsize <= 2):
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) > MAX_COUNT):
                 raise ValueError(f"pixel values must be within 0..{MAX_COUNT}")
-            arr = arr.astype(np.uint16)
-        arr = arr.reshape(self.height, self.width).copy()
+        # the one copy: the frame never shares its pixels with the caller
+        arr = arr.astype(np.uint16, order="C").reshape(self.height, self.width)
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
-
-
-def _own_frame(pixels: np.ndarray) -> ThermalFrame:
-    """Frame around a (height, width) uint16 array this module has just
-    allocated and shares with no one: its shape and dtype are known valid, so
-    it is made read-only in place instead of being validated and copied."""
-    pixels.setflags(write=False)
-    frame = object.__new__(ThermalFrame)
-    frame.__dict__.update(
-        width=pixels.shape[1],
-        height=pixels.shape[0],
-        pixels=pixels,
-        frame_index=0,
-    )
-    return frame
 
 
 def abs_diff(a: ThermalFrame, b: ThermalFrame) -> np.ndarray:
@@ -139,8 +126,8 @@ def _read_file(path: str | Path) -> bytes:
     return data
 
 
-def load_pgm(path: str | Path) -> ThermalFrame:
-    """Load a P2 or P5 PGM file.
+def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
+    """Load a P2 or P5 PGM file as the frame numbered `frame_index`.
 
     8-bit files (maxval < 256) are widened to 16-bit storage without
     rescaling: a stored 255 stays 255.
@@ -175,7 +162,9 @@ def load_pgm(path: str | Path) -> ThermalFrame:
                 f"{path}: expected {count * itemsize} payload bytes, "
                 f"got {len(data) - pos - 1}"
             )
-        payload = np.frombuffer(data, dtype=np.uint8, offset=pos + 1)
+        # left unconverted: ThermalFrame's conversion to uint16 is the copy
+        # the frame keeps
+        values = np.frombuffer(data, dtype=np.uint8, offset=pos + 1)
         if itemsize == 2:
             # The payload starts right after the header, at an odd offset
             # for the usual `P5\nW H\n65535\n`. numpy's byte-swapping cast
@@ -183,8 +172,7 @@ def load_pgm(path: str | Path) -> ThermalFrame:
             # aligned one, and at 640x480 it made `detect` take ten times the
             # minor page faults per frame. A fresh array is aligned, so the
             # bytes are copied before the cast.
-            payload = payload.copy().view(">u2")
-        values = payload.astype(np.uint16)
+            values = values.copy().view(">u2")
     else:
         text = re.sub(rb"#[^\n]*", b"", data[pos:])
         if not _P2_SAMPLES.fullmatch(text):
@@ -202,7 +190,7 @@ def load_pgm(path: str | Path) -> ThermalFrame:
     if maxval < MAX_COUNT and int(values.max()) > maxval:
         raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
     _last_header = (data[: pos + 1], header)
-    return _own_frame(values.reshape(height, width))
+    return ThermalFrame(width, height, values, frame_index)
 
 
 def write_pgm(frame: ThermalFrame, path: str | Path) -> None:
@@ -232,7 +220,9 @@ def replay_files(paths: Iterable[str | Path]) -> Iterator[ThermalFrame]:
     """
     dims: tuple[int, int] | None = None
     for index, file in enumerate(paths):
-        frame = load_pgm(file)
+        # by keyword: tracers that wrap load_pgm see the path as its only
+        # positional argument
+        frame = load_pgm(file, frame_index=index)
         if dims is None:
             dims = (frame.width, frame.height)
         elif (frame.width, frame.height) != dims:
@@ -240,8 +230,6 @@ def replay_files(paths: Iterable[str | Path]) -> Iterator[ThermalFrame]:
                 f"{file}: dimension change mid-stream, "
                 f"{frame.width}x{frame.height} after {dims[0]}x{dims[1]}"
             )
-        # the frame is fresh from load_pgm and not yet shared
-        object.__setattr__(frame, "frame_index", index)
         yield frame
 
 

@@ -22,14 +22,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frame import ThermalFrame, abs_diff
+from .frame import MAX_COUNT, ThermalFrame, abs_diff
 
 
 @dataclass(frozen=True)
 class MotionConfig:
     """Tunables for the movement detector.
 
-    active_pixel_delta: per-pixel |frame - background| threshold, in counts.
+    active_pixel_delta: per-pixel |frame - background| threshold, in counts,
+        at most MAX_COUNT: no difference is larger, so a higher threshold
+        would switch the detector off.
     active_fraction: fraction of all pixels that must be active before the
         frame counts as movement (0.05 means "at least 5%").
     max_hold_frames: optional forced-refresh limit. After this many
@@ -43,8 +45,8 @@ class MotionConfig:
 
     def __post_init__(self) -> None:
         # NaN fails every comparison, so these checks reject it
-        if not 1 <= self.active_pixel_delta < math.inf:
-            raise ValueError("active_pixel_delta must be a finite number >= 1")
+        if not 1 <= self.active_pixel_delta <= MAX_COUNT:
+            raise ValueError(f"active_pixel_delta must be a number in 1..{MAX_COUNT}")
         if not 0.0 < self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in (0, 1]")
         if not (self.max_hold_frames is None or 1 <= self.max_hold_frames < math.inf):

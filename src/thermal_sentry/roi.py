@@ -10,7 +10,6 @@ fall below the ratio everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,18 +22,20 @@ from .frame import MAX_COUNT, ThermalFrame
 
 @dataclass(frozen=True)
 class RoiConfig:
-    """ratio: quadrant mean must exceed ratio * frame mean (strict).
-    min_quadrant_mean: absolute floor on the quadrant mean, in counts."""
+    """ratio: quadrant mean must exceed ratio * frame mean (strict). Below 4:
+        a quadrant mean is at most 4 times the frame mean.
+    min_quadrant_mean: absolute floor on the quadrant mean, in counts, at
+        most MAX_COUNT. A setting no frame can meet switches method B off."""
 
     ratio: float = 1.20
     min_quadrant_mean: int = 1
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison and infinity has no exact decimal
-        if not math.isfinite(self.ratio) or self.ratio < 1.0:
-            raise ValueError("ratio must be a finite number >= 1.0")
-        if not 0 <= self.min_quadrant_mean < math.inf:
-            raise ValueError("min_quadrant_mean must be a finite number >= 0")
+        # NaN fails every comparison, so these checks reject it
+        if not 1.0 <= self.ratio < 4.0:
+            raise ValueError("ratio must be a finite number >= 1.0 and < 4.0")
+        if not 0 <= self.min_quadrant_mean <= MAX_COUNT:
+            raise ValueError(f"min_quadrant_mean must be a number in 0..{MAX_COUNT}")
 
 
 class RoiResult(NamedTuple):

@@ -11,6 +11,8 @@ import pytest
 import thermal_sentry
 from thermal_sentry import cli
 from thermal_sentry.cli import main
+from thermal_sentry.frame import write_pgm
+from conftest import make_frame
 
 DETECTION_KEYS = {
     "frame", "verdict", "movement", "active_count",
@@ -105,6 +107,27 @@ class TestDetect:
         assert changes[0]["to_state"] == "Stop"
         detections = [r for r in lines if "verdict" in r]
         assert detections[-1]["state"] == "Stop"
+
+    def test_hot_q2_in_a_warning_zone_slows(self, tmp_path, capsys):
+        # the reference scene never occupies Q2 or reaches Slow, so four
+        # frames with the bottom-left quadrant hot are written by hand
+        hot_q2 = make_frame([[50, 50, 50, 50], [50, 50, 50, 50],
+                             [900, 900, 50, 50], [900, 900, 50, 50]])
+        paths = [str(tmp_path / f"f{i}.pgm") for i in range(4)]
+        for path in paths:
+            write_pgm(hot_q2, path)
+        zones = tmp_path / "zones.cfg"
+        zones.write_text("Q2=warning\ndebounce=2\n")
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "detect", "--zones", str(zones), *paths)
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert {"frame": 1, "event": "Entered", "quadrant": "Q2",
+                "from_state": None, "to_state": None} in lines
+        assert {"frame": 1, "event": "StateChanged", "quadrant": None,
+                "from_state": "Run", "to_state": "Slow"} in lines
+        states = [r["state"] for r in lines if "verdict" in r]
+        assert states == ["Run", "Slow", "Slow", "Slow"]
 
     def test_repeated_zone_key_is_data_error(self, tmp_path, capsys):
         # the second line would leave Q3 ignored: no Stop, exit 0
@@ -357,6 +380,9 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
             ("--roi-min-mean", "-1"),
             ("--roi-ratio", "inf"),
             ("--roi-ratio", "nan"),
+            ("--roi-ratio", "4.0"),
+            ("--active-delta", "65536"),
+            ("--roi-min-mean", "65536"),
         ],
     )
     def test_out_of_range_detector_flag_is_usage_error(
@@ -649,8 +675,8 @@ class TestConfigFile:
     def test_config_file_sets_defaults(self, tmp_path, capsys, monkeypatch):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
         config = tmp_path / "sentry.cfg"
-        # ratio high enough that nothing ever flags
-        config.write_text("roi_ratio=50.0\n")
+        # a floor no quadrant of the scene reaches, so nothing flags
+        config.write_text("roi_min_mean=60000\n")
         capsys.readouterr()
         code, out, _ = run_cli(
             capsys, "--config", str(config), "detect", "--input-dir", str(data)
@@ -662,11 +688,11 @@ class TestConfigFile:
     def test_cli_flag_overrides_config(self, tmp_path, capsys):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
         config = tmp_path / "sentry.cfg"
-        config.write_text("roi_ratio=50.0\n")
+        config.write_text("roi_min_mean=60000\n")
         capsys.readouterr()
         code, out, _ = run_cli(
             capsys, "--config", str(config),
-            "detect", "--input-dir", str(data), "--roi-ratio", "1.2",
+            "detect", "--input-dir", str(data), "--roi-min-mean", "1",
         )
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
@@ -675,7 +701,7 @@ class TestConfigFile:
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
         config = tmp_path / "sentry.cfg"
-        config.write_text("roi_ratio=50.0\n")
+        config.write_text("roi_min_mean=60000\n")
         monkeypatch.setenv("THERMAL_SENTRY_CONFIG", str(config))
         capsys.readouterr()
         code, out, _ = run_cli(capsys, "detect", "--input-dir", str(data))
@@ -683,7 +709,10 @@ class TestConfigFile:
         records = [json.loads(line) for line in out.splitlines()]
         assert not any(any(r["flags"].values()) for r in records)
 
-    @pytest.mark.parametrize("line", ["roi_ratio=inf", "roi_ratio=0.5", "active_delta=0"])
+    @pytest.mark.parametrize("line", [
+        "roi_ratio=inf", "roi_ratio=0.5", "active_delta=0",
+        "roi_ratio=4.0", "active_delta=65536", "roi_min_mean=65536",
+    ])
     def test_out_of_range_config_value_is_data_error(self, tmp_path, capsys, line):
         config = tmp_path / "sentry.cfg"
         config.write_text(line + "\n")
@@ -695,6 +724,24 @@ class TestConfigFile:
         assert code == 2
         assert out == ""
         assert "must be" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("active_delta", "65535"), ("roi_min_mean", "65535"),
+        ("roi_ratio", "3.9999999999999996"),
+    ])
+    def test_largest_accepted_detector_setting(self, tmp_path, capsys, key, value):
+        # one step further is rejected, as a flag and as a config value
+        config = tmp_path / "sentry.cfg"
+        config.write_text(f"{key}={value}\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        flag = "--" + key.replace("_", "-")
+        code, _, _ = run_cli(capsys, "detect", flag, value, "--input-dir", str(empty))
+        assert code == 0
+        code, _, _ = run_cli(
+            capsys, "--config", str(config), "detect", "--input-dir", str(empty)
+        )
+        assert code == 0
 
     def test_bad_config_key_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "sentry.cfg"

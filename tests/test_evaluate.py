@@ -13,13 +13,12 @@ from thermal_sentry.evaluate import (
     read_labels,
     report_to_dict,
     run_eval,
-    timed_steps,
     write_labels,
 )
-from thermal_sentry.frame import QuadrantId
+from thermal_sentry.frame import QuadrantId, replay_dir
 from thermal_sentry.motion import MotionConfig, MotionState, motion_step
 from thermal_sentry.roi import RoiConfig, roi_analyze
-from thermal_sentry.synth import BlobSpec, SceneSpec, generate, render_frame
+from thermal_sentry.synth import BlobSpec, SceneSpec, generate
 
 
 class TestAccuracy:
@@ -219,29 +218,43 @@ class TestRunEval:
             run_eval(empty, static_human_dataset.labels_path)
 
 
-class TestTimedSteps:
-    def test_matches_the_detectors_and_times_each_frame_once(self):
+class TestRunEvalLoop:
+    def test_matrices_recount_the_detectors_and_each_frame_is_timed(self, tmp_path):
         spec = SceneSpec(
             frames=12, width=32, height=24, ambient=60, noise_sigma=1.0, seed=5,
             blobs=(BlobSpec(400.0, 3.0, ((0, 2.0, 4.0), (11, 30.0, 20.0))),),
         )
-        frames = [render_frame(spec, t) for t in range(spec.frames)]
+        ds = generate(spec, tmp_path / "walk")
         motion_cfg = MotionConfig(active_pixel_delta=15, active_fraction=0.02,
                                   max_hold_frames=3)
         roi_cfg = RoiConfig(ratio=1.5)  # flags fewer frames than the default
-        samples = {m: [] for m in Method}
-        steps = list(timed_steps(iter(frames), samples, motion_cfg, roi_cfg))
+        report = run_eval(ds.directory, ds.labels_path, motion_cfg, roi_cfg)
 
+        frames = list(replay_dir(ds.directory))
         state = MotionState(motion_cfg)
-        expected = [(roi_analyze(f, roi_cfg), motion_step(state, f)) for f in frames]
-        assert steps == expected
-        assert any(motion.movement for _, motion in steps)
-        assert any(roi.any for roi, _ in steps)
-        assert [roi.any for roi, _ in steps] != [roi_analyze(f).any for f in frames]
-        assert all(len(samples[m]) == len(frames) for m in Method)
-        for a, b, hybrid in zip(*(samples[m] for m in Method)):
-            assert a >= 0 and b >= 0
-            assert hybrid == pytest.approx(a + b, rel=1e-12, abs=1e-9)
+        steps = [(roi_analyze(f, roi_cfg), motion_step(state, f)) for f in frames]
+        recount = {
+            Method.METHOD_A: [motion.movement for _, motion in steps],
+            Method.METHOD_B: [roi.any for roi, _ in steps],
+            Method.HYBRID: [roi.any or motion.movement for roi, motion in steps],
+        }
+        labels = read_labels(ds.labels_path)
+        assert report.matrices == {m: confusion(p, labels) for m, p in recount.items()}
+        assert report.frames_evaluated == len(frames) == spec.frames
+        assert any(recount[Method.METHOD_A]) and any(recount[Method.METHOD_B])
+        assert recount[Method.METHOD_B] != [roi_analyze(f).any for f in frames]
+        default_ratio = run_eval(ds.directory, ds.labels_path, motion_cfg)
+        assert report.matrices[Method.METHOD_B] != default_ratio.matrices[Method.METHOD_B]
+        # motion_cfg scores like the default here; no frame has every pixel
+        # active, so this config shows that run_eval passes A's config on
+        all_active = run_eval(ds.directory, ds.labels_path,
+                              MotionConfig(active_fraction=1.0), roi_cfg)
+        assert report.matrices[Method.METHOD_A] != all_active.matrices[Method.METHOD_A]
+
+        a, b = report.latency[Method.METHOD_A], report.latency[Method.METHOD_B]
+        assert a.mean_us >= 0 and b.mean_us >= 0
+        assert report.latency[Method.HYBRID].mean_us == pytest.approx(
+            a.mean_us + b.mean_us, rel=1e-9)
 
 
 class TestReportRendering:

@@ -68,11 +68,22 @@ class TestThermalFrame:
         with pytest.raises(ValueError):
             frame.pixels[0, 0] = 1
 
-    def test_caller_array_is_copied(self):
-        source = np.zeros((2, 2), dtype=np.uint16)
+    # every source goes through the one conversion to native uint16
+    @pytest.mark.parametrize("dtype", [np.uint16, ">u2", np.uint8, np.int64, list])
+    def test_caller_array_is_copied(self, dtype):
+        values = [[0, 7], [200, 255]]
+        if dtype is list:
+            source = values[0] + values[1]
+            first = 0
+        else:
+            source = np.array(values, dtype=dtype)
+            first = (0, 0)
         frame = ThermalFrame(2, 2, source)
-        source[0, 0] = 9
-        assert frame.pixels[0, 0] == 0
+        assert frame.pixels.dtype == np.uint16 and frame.pixels.dtype.isnative
+        assert not frame.pixels.flags.writeable
+        assert frame.pixels.tolist() == values
+        source[first] = 9
+        assert frame.pixels.tolist() == values
 
     def test_decoded_and_diff_frames_are_read_only_uint16_grids(self, tmp_path):
         path = tmp_path / "f.pgm"

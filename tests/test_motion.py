@@ -47,11 +47,17 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("active_pixel_delta", math.nan),
         ("active_pixel_delta", math.inf),
+        ("active_pixel_delta", 65536),  # no |difference| exceeds 65535
         ("max_hold_frames", math.nan),
     ])
     def test_rejects_value_that_switches_detection_off(self, field, value):
         with pytest.raises(ValueError, match=field):
             MotionConfig(**{field: value})
+
+    def test_largest_accepted_delta_still_fires(self):
+        state = MotionState(MotionConfig(active_pixel_delta=65535))
+        motion_step(state, uniform_frame(2, 2, 0))
+        assert motion_step(state, uniform_frame(2, 2, 65535)).movement
 
 
 class TestRequiredCount:

@@ -42,6 +42,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="min_quadrant_mean"):
             RoiConfig(min_quadrant_mean=floor)
 
+    # a quadrant mean is at most 4x the frame mean and at most 65535, so a
+    # ratio of 4 or more, or a floor above 65535, would flag nothing
+    @pytest.mark.parametrize("field, value", [
+        ("ratio", 4.0), ("ratio", 50.0), ("min_quadrant_mean", 65536),
+    ])
+    def test_rejects_setting_no_frame_can_meet(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RoiConfig(**{field: value})
+
+    @pytest.mark.parametrize("config", [
+        RoiConfig(ratio=3.9999999999999996), RoiConfig(min_quadrant_mean=65535),
+    ])
+    def test_largest_accepted_setting_still_flags(self, config):
+        # Q0's mean is 65535, 4 times the frame mean
+        frame = make_frame([[65535, 0], [0, 0]])
+        assert roi_analyze(frame, config).flags == (True, False, False, False)
+
 
 class TestRoiAnalyze:
     def test_uniform_frame_has_no_flags(self):

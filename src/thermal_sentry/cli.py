@@ -46,18 +46,6 @@ def _file(text: str) -> str:
     return text
 
 
-# config-file keys and how to convert their values (CLI flags take precedence)
-_CONFIG_KEYS = {
-    "active_delta": int,
-    "active_fraction": float,
-    "max_hold_frames": int,
-    "roi_ratio": float,
-    "roi_min_mean": int,
-    "mode": _mode,
-    "zones": _file,
-}
-
-
 # A detection record as json.dumps writes it, with the fields in the order
 # the module docstring lists them; only the values vary from frame to frame.
 _RECORD = (
@@ -81,9 +69,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(convert, config, field: str):
-    """Flag type that converts the text and then has the config dataclass
-    check the value, so an out-of-range flag is a usage error. The same value
-    from a config file reaches the dataclass directly and stays a data error."""
+    """Flag and config-file type that converts the text and then has the
+    config dataclass check the value, so an out-of-range value is reported
+    where it is written: as a flag a usage error, in a config file a data
+    error, even when a flag overrides it or the command builds no detector."""
 
     def parse(text: str):
         value = convert(text)
@@ -95,6 +84,19 @@ def _checked(convert, config, field: str):
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+# config-file keys and how to convert their values (CLI flags take precedence);
+# the detector flags convert with the same functions
+_CONFIG_KEYS = {
+    "active_delta": _checked(int, MotionConfig, "active_pixel_delta"),
+    "active_fraction": _checked(float, MotionConfig, "active_fraction"),
+    "max_hold_frames": _checked(int, MotionConfig, "max_hold_frames"),
+    "roi_ratio": _checked(float, RoiConfig, "ratio"),
+    "roi_min_mean": _checked(int, RoiConfig, "min_quadrant_mean"),
+    "mode": _mode,
+    "zones": _file,
+}
 
 
 def build_parser(defaults: dict | None = None) -> _Parser:
@@ -114,19 +116,19 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     detector = _Parser(add_help=False)
     group = detector.add_argument_group("detector options")
     group.add_argument("--active-delta", default=20, metavar="COUNTS",
-                       type=_checked(int, MotionConfig, "active_pixel_delta"),
+                       type=_CONFIG_KEYS["active_delta"],
                        help="per-pixel movement threshold (default 20)")
     group.add_argument("--active-fraction", default=0.05, metavar="FRAC",
-                       type=_checked(float, MotionConfig, "active_fraction"),
+                       type=_CONFIG_KEYS["active_fraction"],
                        help="fraction of active pixels that means movement (default 0.05)")
     group.add_argument("--max-hold-frames", default=None, metavar="N",
-                       type=_checked(int, MotionConfig, "max_hold_frames"),
+                       type=_CONFIG_KEYS["max_hold_frames"],
                        help="force a background refresh after N movement frames")
     group.add_argument("--roi-ratio", default=1.20, metavar="RATIO",
-                       type=_checked(float, RoiConfig, "ratio"),
+                       type=_CONFIG_KEYS["roi_ratio"],
                        help="quadrant mean must exceed RATIO x frame mean (default 1.20)")
     group.add_argument("--roi-min-mean", default=1, metavar="COUNTS",
-                       type=_checked(int, RoiConfig, "min_quadrant_mean"),
+                       type=_CONFIG_KEYS["roi_min_mean"],
                        help="absolute quadrant-mean floor (default 1)")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -183,7 +185,9 @@ def _load_config_file(path: str) -> dict:
             raise ValueError(f"{path}:{lineno}: {key} repeats line {earlier}")
         try:
             defaults[key] = _CONFIG_KEYS[key](value)
-        except (ValueError, argparse.ArgumentTypeError):
+        except argparse.ArgumentTypeError as exc:  # out of range, or empty
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
     return defaults
 

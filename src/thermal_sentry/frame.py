@@ -196,7 +196,11 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
 def write_pgm(frame: ThermalFrame, path: str | Path) -> None:
     """Write a frame as binary 16-bit P5 with maxval 65535 (big-endian)."""
     header = f"P5\n{frame.width} {frame.height}\n{MAX_COUNT}\n".encode("ascii")
-    Path(path).write_bytes(header + frame.pixels.astype(">u2").tobytes())
+    with open(path, "wb") as out:
+        out.write(header)
+        # the byte-swapped copy is written through the buffer protocol,
+        # without a bytes copy of it or of header + payload
+        out.write(frame.pixels.astype(">u2"))
 
 
 def replay_dir(path: str | Path) -> Iterator[ThermalFrame]:

@@ -114,13 +114,25 @@ def blob_center(blob: BlobSpec, frame_index: int) -> tuple[float, float]:
     return path[-1][1], path[-1][2]
 
 
+# The array code below works in place, with `out=` and augmented operators,
+# so a frame holds a few full-size float64 arrays rather than one per step
+# of the formula. Only IEEE-exact steps move in place (uint64 wraparound,
+# negation, + - * /, sqrt, rint, clip): those give the same bits whatever
+# the memory layout. exp, log, cos and sin read the same layouts as the
+# plain formula and write fresh arrays, because numpy may pick a different
+# kernel, with different last bits, for another layout.
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2^64
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    # vectorized splitmix64 finalizer, in place; uint64 arithmetic wraps
+    # mod 2^64
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def standard_normals(seed: int, frame_index: int, count: int) -> np.ndarray:
@@ -128,34 +140,67 @@ def standard_normals(seed: int, frame_index: int, count: int) -> np.ndarray:
     start = (seed + (frame_index + 1) * _GOLDEN) & _MASK64
     frame_seed = _mix64(np.array([start], dtype=np.uint64))[0]
     pairs = (count + 1) // 2
-    ks = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    z = _mix64(frame_seed + ks * np.uint64(_GOLDEN))
-    u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    theta = 2.0 * math.pi * u[1::2]
+    z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += frame_seed
+    z = _mix64(z)
+    z >>= np.uint64(11)
+    # below 2^53, so the conversion and both steps after it are exact
+    u = z.astype(np.float64)
+    del z
+    u += 1.0
+    u *= 2.0**-53
+    radius = np.log(u[0::2])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    theta = u[1::2] * (2.0 * math.pi)
+    del u
+    cos = np.cos(theta)
+    sin = np.sin(theta)
+    del theta
+    cos *= radius
+    sin *= radius
+    del radius
     normals = np.empty(2 * pairs)
-    normals[0::2] = radius * np.cos(theta)
-    normals[1::2] = radius * np.sin(theta)
+    normals[0::2] = cos
+    normals[1::2] = sin
     return normals[:count]
+
+
+def _add_heat(field: np.ndarray, blobs: tuple[BlobSpec, ...], frame_index: int) -> None:
+    """Add each blob's Gaussian to the field, in place. Its two scratch
+    arrays are freed on return, before the noise allocates its own."""
+    height, width = field.shape
+    xs = np.arange(width, dtype=np.float64)
+    ys = np.arange(height, dtype=np.float64)[:, None]
+    exponent = np.empty_like(field)
+    heat = np.empty_like(field)
+    for blob in blobs:
+        cx, cy = blob_center(blob, frame_index)
+        np.add((xs - cx) ** 2, (ys - cy) ** 2, out=exponent)
+        np.negative(exponent, out=exponent)
+        exponent /= 2.0 * blob.sigma**2
+        np.exp(exponent, out=heat)
+        heat *= blob.amplitude
+        field += heat
 
 
 def render_frame(spec: SceneSpec, frame_index: int) -> ThermalFrame:
     """Render one frame of the scene."""
-    xs = np.arange(spec.width, dtype=np.float64)
-    ys = np.arange(spec.height, dtype=np.float64)[:, None]
     field = np.full(
         (spec.height, spec.width),
         spec.ambient + frame_index * spec.drift_per_frame,
         dtype=np.float64,
     )
-    for blob in spec.blobs:
-        cx, cy = blob_center(blob, frame_index)
-        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
-        field += blob.amplitude * np.exp(-d2 / (2.0 * blob.sigma**2))
+    if spec.blobs:
+        _add_heat(field, spec.blobs, frame_index)
     if spec.noise_sigma > 0:
         noise = standard_normals(spec.seed, frame_index, field.size)
-        field += spec.noise_sigma * noise.reshape(field.shape)
-    pixels = np.clip(np.rint(field), 0, 65535).astype(np.uint16)
+        noise *= spec.noise_sigma
+        field += noise.reshape(field.shape)
+    np.rint(field, out=field)
+    np.clip(field, 0, 65535, out=field)
+    pixels = field.astype(np.uint16)
     return ThermalFrame(spec.width, spec.height, pixels, frame_index=frame_index)
 
 

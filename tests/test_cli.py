@@ -725,6 +725,31 @@ class TestConfigFile:
         assert out == ""
         assert "must be" in err
 
+    def test_out_of_range_config_value_overridden_by_a_flag(self, tmp_path, capsys):
+        # checked when the file is read, not only when a detector is built
+        config = tmp_path / "sentry.cfg"
+        config.write_text("# ratio\nroi_ratio=50.0\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        code, out, err = run_cli(
+            capsys, "--config", str(config),
+            "detect", "--input-dir", str(empty), "--roi-ratio", "1.2",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{config}:2: bad value for roi_ratio: ratio must be" in err
+
+    def test_out_of_range_config_value_without_a_detector(self, tmp_path, capsys):
+        # eval --cells builds no detector config, and still reads the file
+        config = tmp_path / "sentry.cfg"
+        config.write_text("active_delta=0\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(config), "eval", "--cells", "1,2,3,4"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{config}:1: bad value for active_delta: active_pixel_delta must be" in err
+
     @pytest.mark.parametrize("key, value", [
         ("active_delta", "65535"), ("roi_min_mean", "65535"),
         ("roi_ratio", "3.9999999999999996"),

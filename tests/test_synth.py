@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,63 @@ from thermal_sentry.synth import (
     parse_scene,
     render_frame,
     standard_normals,
+)
+
+# The plain formulas render_frame and standard_normals compute, one
+# full-size array per step. The in-place code must give the same bytes.
+_MASK64, _GOLDEN = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def formula_mix64(z):
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def formula_normals(seed, frame_index, count):
+    start = (seed + (frame_index + 1) * _GOLDEN) & _MASK64
+    frame_seed = formula_mix64(np.array([start], dtype=np.uint64))[0]
+    pairs = (count + 1) // 2
+    ks = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    z = formula_mix64(frame_seed + ks * np.uint64(_GOLDEN))
+    u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = 2.0 * math.pi * u[1::2]
+    normals = np.empty(2 * pairs)
+    normals[0::2] = radius * np.cos(theta)
+    normals[1::2] = radius * np.sin(theta)
+    return normals[:count]
+
+
+def formula_pixels(spec, frame_index):
+    xs = np.arange(spec.width, dtype=np.float64)
+    ys = np.arange(spec.height, dtype=np.float64)[:, None]
+    field = np.full(
+        (spec.height, spec.width),
+        spec.ambient + frame_index * spec.drift_per_frame,
+        dtype=np.float64,
+    )
+    for blob in spec.blobs:
+        cx, cy = blob_center(blob, frame_index)
+        d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+        field += blob.amplitude * np.exp(-d2 / (2.0 * blob.sigma**2))
+    if spec.noise_sigma > 0:
+        noise = formula_normals(spec.seed, frame_index, field.size)
+        field += spec.noise_sigma * noise.reshape(field.shape)
+    return np.clip(np.rint(field), 0, 65535).astype(np.uint16)
+
+
+# 640x480 with the reference scene's people scaled x4, both in view
+VGA_SCENE = SceneSpec(
+    frames=100, width=640, height=480, ambient=60.0, drift_per_frame=0.01,
+    noise_sigma=1.5, seed=7,
+    blobs=(
+        BlobSpec(900.0, 32.0, ((0, -100.0, 240.0), (99, 500.0, 300.0))),
+        BlobSpec(700.0, 28.0, ((0, 600.0, 60.0), (99, 200.0, 420.0))),
+        BlobSpec(250.0, 20.0, ((0, 520.0, 80.0),), is_human=False),
+    ),
 )
 
 
@@ -144,6 +202,59 @@ class TestNoise:
             expected += [radius * math.cos(theta), radius * math.sin(theta)]
         got = standard_normals(seed, frame_index, 5)
         assert got.tolist() == pytest.approx(expected[:5], rel=1e-12, abs=1e-12)
+
+
+class TestInPlaceMatchesFormula:
+    """The in-place render gives the bytes of the plain formulas."""
+
+    @pytest.mark.parametrize("frame_index", [0, 40, 99])
+    def test_vga_frame_with_noise_and_blobs(self, frame_index):
+        got = render_frame(VGA_SCENE, frame_index).pixels
+        assert np.array_equal(got, formula_pixels(VGA_SCENE, frame_index))
+
+    @pytest.mark.parametrize("count", [1, 3, 7, 1001, 19_201])
+    def test_odd_count(self, count):
+        got = standard_normals(7, 3, count)
+        assert got.shape == (count,)
+        assert np.array_equal(got, formula_normals(7, 3, count))
+
+    @pytest.mark.parametrize(
+        "seed, frame_index",
+        [
+            (0, 1),  # 2*G passes 2**64
+            (2**64 - 1, 0),  # seed + G passes 2**64
+            (2**64 - 1, 5),
+            (2**64 - _GOLDEN, 3),
+        ],
+    )
+    def test_seed_that_wraps(self, seed, frame_index):
+        assert np.array_equal(
+            standard_normals(seed, frame_index, 4096),
+            formula_normals(seed, frame_index, 4096),
+        )
+        spec = SceneSpec(
+            frames=6, width=32, height=24, ambient=100.0, noise_sigma=3.0, seed=seed,
+            blobs=(BlobSpec(400.0, 3.0, ((0, 4.0, 4.0), (5, 28.0, 20.0))),),
+        )
+        got = render_frame(spec, frame_index).pixels
+        assert np.array_equal(got, formula_pixels(spec, frame_index))
+
+    def test_transient_memory_of_a_vga_frame(self):
+        # the plain formulas peak at about 7.5 fields (17.6 MiB); in place
+        # the field, the noise and its scratch stay near 3
+        spec = SceneSpec(
+            frames=1, width=640, height=480, ambient=60.0, noise_sigma=1.5, seed=7,
+            blobs=(BlobSpec(900.0, 32.0, ((0, 320.0, 240.0),)),),
+        )
+        field_bytes = spec.width * spec.height * np.dtype(np.float64).itemsize
+        render_frame(spec, 0)  # first-call allocations are not the frame's
+        tracemalloc.start()
+        try:
+            render_frame(spec, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * field_bytes
 
 
 class TestLabels:

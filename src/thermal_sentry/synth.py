@@ -64,6 +64,10 @@ class BlobSpec:
             raise SceneError("blob amplitude must be positive")
         if self.sigma <= 0:
             raise SceneError("blob sigma must be positive")
+        # the Gaussian's denominator: 0 (sigma**2 underflows) renders a NaN
+        # centre pixel, and sigma**2 past the float range raises
+        if not 0.0 < 2.0 * (self.sigma * self.sigma) < math.inf:
+            raise SceneError(f"blob sigma {self.sigma!r} is out of the renderable range")
         if not self.path:
             raise SceneError("blob path needs at least one waypoint")
         times = [t for t, _, _ in self.path]
@@ -114,94 +118,67 @@ def blob_center(blob: BlobSpec, frame_index: int) -> tuple[float, float]:
     return path[-1][1], path[-1][2]
 
 
-# The array code below works in place, with `out=` and augmented operators,
-# so a frame holds a few full-size float64 arrays rather than one per step
-# of the formula. Only IEEE-exact steps move in place (uint64 wraparound,
-# negation, + - * /, sqrt, rint, clip): those give the same bits whatever
-# the memory layout. exp, log, cos and sin read the same layouts as the
-# plain formula and write fresh arrays, because numpy may pick a different
-# kernel, with different last bits, for another layout.
+# A frame is rendered one band of whole rows at a time, so that each float64
+# array of a band stays within _BAND_PIXELS (64 KiB): under glibc's default
+# 128 KiB mmap threshold, a band's arrays are reused heap blocks rather than
+# fresh pages from the kernel. At least one row makes a band. A band gives
+# the bytes of the whole-frame formula because exp, cos and sin read
+# contiguous arrays and log the strided u[0::2] there too: numpy may pick
+# another kernel, with other last bits, for another layout.
+_BAND_PIXELS = 8192
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # vectorized splitmix64 finalizer, in place; uint64 arithmetic wraps
-    # mod 2^64
-    shifted = np.empty_like(z)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    return z
+    # vectorized splitmix64 finalizer; uint64 arithmetic wraps mod 2^64
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
-def standard_normals(seed: int, frame_index: int, count: int) -> np.ndarray:
-    """The frame's noise substream as standard normals (see module docstring)."""
+def standard_normals(seed: int, frame_index: int, count: int, first: int = 0) -> np.ndarray:
+    """Draws first .. first+count-1 of the frame's noise substream as
+    standard normals (see module docstring). `first` must be even, so the
+    draws start on a Box-Muller pair."""
+    if first < 0 or first % 2:
+        raise ValueError(f"first must be even and >= 0, got {first}")
     start = (seed + (frame_index + 1) * _GOLDEN) & _MASK64
     frame_seed = _mix64(np.array([start], dtype=np.uint64))[0]
     pairs = (count + 1) // 2
-    z = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += frame_seed
-    z = _mix64(z)
-    z >>= np.uint64(11)
-    # below 2^53, so the conversion and both steps after it are exact
-    u = z.astype(np.float64)
-    del z
-    u += 1.0
-    u *= 2.0**-53
-    radius = np.log(u[0::2])
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    theta = u[1::2] * (2.0 * math.pi)
-    del u
-    cos = np.cos(theta)
-    sin = np.sin(theta)
-    del theta
-    cos *= radius
-    sin *= radius
-    del radius
+    ks = np.arange(first + 1, first + 2 * pairs + 1, dtype=np.uint64)
+    z = _mix64(frame_seed + ks * np.uint64(_GOLDEN))
+    u = ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = 2.0 * math.pi * u[1::2]
     normals = np.empty(2 * pairs)
-    normals[0::2] = cos
-    normals[1::2] = sin
+    normals[0::2] = radius * np.cos(theta)
+    normals[1::2] = radius * np.sin(theta)
     return normals[:count]
 
 
-def _add_heat(field: np.ndarray, blobs: tuple[BlobSpec, ...], frame_index: int) -> None:
-    """Add each blob's Gaussian to the field, in place. Its two scratch
-    arrays are freed on return, before the noise allocates its own."""
-    height, width = field.shape
-    xs = np.arange(width, dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    exponent = np.empty_like(field)
-    heat = np.empty_like(field)
-    for blob in blobs:
-        cx, cy = blob_center(blob, frame_index)
-        np.add((xs - cx) ** 2, (ys - cy) ** 2, out=exponent)
-        np.negative(exponent, out=exponent)
-        exponent /= 2.0 * blob.sigma**2
-        np.exp(exponent, out=heat)
-        heat *= blob.amplitude
-        field += heat
-
-
 def render_frame(spec: SceneSpec, frame_index: int) -> ThermalFrame:
-    """Render one frame of the scene."""
-    field = np.full(
-        (spec.height, spec.width),
-        spec.ambient + frame_index * spec.drift_per_frame,
-        dtype=np.float64,
-    )
-    if spec.blobs:
-        _add_heat(field, spec.blobs, frame_index)
-    if spec.noise_sigma > 0:
-        noise = standard_normals(spec.seed, frame_index, field.size)
-        noise *= spec.noise_sigma
-        field += noise.reshape(field.shape)
-    np.rint(field, out=field)
-    np.clip(field, 0, 65535, out=field)
-    pixels = field.astype(np.uint16)
-    return ThermalFrame(spec.width, spec.height, pixels, frame_index=frame_index)
+    """Render one frame of the scene, a band of whole rows at a time."""
+    width, height = spec.width, spec.height
+    band_rows = max(1, _BAND_PIXELS // width)
+    xs = np.arange(width, dtype=np.float64)
+    centers = [blob_center(blob, frame_index) for blob in spec.blobs]
+    pixels = np.empty((height, width), dtype=np.uint16)
+    for top in range(0, height, band_rows):
+        ys = np.arange(top, min(top + band_rows, height), dtype=np.float64)[:, None]
+        field = np.full(
+            (len(ys), width),
+            spec.ambient + frame_index * spec.drift_per_frame,
+            dtype=np.float64,
+        )
+        for blob, (cx, cy) in zip(spec.blobs, centers):
+            d2 = (xs - cx) ** 2 + (ys - cy) ** 2
+            field += blob.amplitude * np.exp(-d2 / (2.0 * blob.sigma**2))
+        if spec.noise_sigma > 0:
+            noise = standard_normals(spec.seed, frame_index, field.size, first=top * width)
+            field += spec.noise_sigma * noise.reshape(field.shape)
+        pixels[top:top + len(ys)] = np.clip(np.rint(field), 0, 65535)
+    return ThermalFrame(width, height, pixels, frame_index=frame_index)
 
 
 def frame_label(spec: SceneSpec, frame_index: int) -> GroundTruthLabel:

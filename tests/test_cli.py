@@ -537,6 +537,19 @@ class TestSynth:
         assert "ambient must be finite" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    def test_unrenderable_blob_sigma_is_data_error(self, tmp_path, capsys, sigma):
+        # 2*sigma**2 underflows to 0 (a NaN centre pixel) or sigma**2 overflows
+        scene = tmp_path / "sigma.scene"
+        scene.write_text(f"frames=2\nwidth=4\nheight=4\nambient=10\nblob=100,{sigma},human,0:1:1\n")
+        out_dir = tmp_path / "x"
+        code, out, err = run_cli(
+            capsys, "synth", "--scene", str(scene), "--out-dir", str(out_dir)
+        )
+        assert code == 2 and out == ""
+        assert "out of the renderable range" in err
+        assert not out_dir.exists()
+
     def test_frames_the_scene_does_not_write_are_refused(self, tmp_path, capsys):
         # a 2-frame scene over a 3-frame dataset would leave frame 2 to replay
         out_dir = make_dataset(tmp_path, STATIC_SCENE.replace("frames=10", "frames=3"))

@@ -20,8 +20,9 @@ from thermal_sentry.synth import (
     standard_normals,
 )
 
-# The plain formulas render_frame and standard_normals compute, one
-# full-size array per step. The in-place code must give the same bytes.
+# The plain formulas render_frame and standard_normals compute, over the
+# whole frame at once. The render, a band of rows at a time, must give the
+# same bytes.
 _MASK64, _GOLDEN = 2**64 - 1, 0x9E3779B97F4A7C15
 
 
@@ -205,7 +206,8 @@ class TestNoise:
 
 
 class TestInPlaceMatchesFormula:
-    """The in-place render gives the bytes of the plain formulas."""
+    """The render, which writes each band of rows in place into the frame's
+    uint16 array, gives the bytes of the plain formulas."""
 
     @pytest.mark.parametrize("frame_index", [0, 40, 99])
     def test_vga_frame_with_noise_and_blobs(self, frame_index):
@@ -217,6 +219,33 @@ class TestInPlaceMatchesFormula:
         got = standard_normals(7, 3, count)
         assert got.shape == (count,)
         assert np.array_equal(got, formula_normals(7, 3, count))
+
+    @pytest.mark.parametrize(
+        "width, height",
+        [
+            (640, 50),  # 12-row bands and a last band of 2 rows
+            (8194, 2),  # a row wider than a band: one row a band
+            (2, 2),
+        ],
+    )
+    def test_band_edges(self, width, height):
+        spec = SceneSpec(
+            frames=2, width=width, height=height, ambient=60.0, noise_sigma=1.5,
+            seed=7, blobs=(BlobSpec(900.0, 3.0, ((0, width - 1.0, height / 2),)),),
+        )
+        assert np.array_equal(render_frame(spec, 1).pixels, formula_pixels(spec, 1))
+
+    @pytest.mark.parametrize(
+        "first, count", [(2, 7), (7680, 7680), (8194, 8195), (1_000_000, 1)]
+    )
+    def test_draws_from_an_even_first(self, first, count):
+        got = standard_normals(7, 3, count, first=first)
+        assert np.array_equal(got, formula_normals(7, 3, first + count)[first:])
+
+    @pytest.mark.parametrize("first", [1, -2])
+    def test_first_must_start_a_pair(self, first):
+        with pytest.raises(ValueError, match="first must be even"):
+            standard_normals(7, 3, 4, first=first)
 
     @pytest.mark.parametrize(
         "seed, frame_index",
@@ -240,8 +269,9 @@ class TestInPlaceMatchesFormula:
         assert np.array_equal(got, formula_pixels(spec, frame_index))
 
     def test_transient_memory_of_a_vga_frame(self):
-        # the plain formulas peak at about 7.5 fields (17.6 MiB); in place
-        # the field, the noise and its scratch stay near 3
+        # the plain formulas over the whole frame peak at about 7.5 fields
+        # (17.6 MiB); in bands of rows the two uint16 frames (the render's
+        # and the ThermalFrame's copy) and one band's arrays stay near 0.6
         spec = SceneSpec(
             frames=1, width=640, height=480, ambient=60.0, noise_sigma=1.5, seed=7,
             blobs=(BlobSpec(900.0, 32.0, ((0, 320.0, 240.0),)),),
@@ -254,7 +284,7 @@ class TestInPlaceMatchesFormula:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * field_bytes
+        assert peak <= 1.0 * field_bytes
 
 
 class TestLabels:

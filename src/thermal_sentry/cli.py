@@ -86,50 +86,55 @@ def _checked(convert, config, field: str):
     return parse
 
 
+# The detector flags of detect and eval, by the config they set: (flag and
+# config-file key, config field, converter, metavar, help). Each default is
+# the config class's own.
+_DETECTOR_FLAGS = {
+    MotionConfig: (
+        ("active_delta", "active_pixel_delta", int, "COUNTS", "per-pixel movement threshold"),
+        ("active_fraction", "active_fraction", float, "FRAC",
+         "fraction of active pixels that means movement"),
+        ("max_hold_frames", "max_hold_frames", int, "N",
+         "force a background refresh after N movement frames"),
+    ),
+    RoiConfig: (
+        ("roi_ratio", "ratio", float, "RATIO", "quadrant mean must exceed RATIO x frame mean"),
+        ("roi_min_mean", "min_quadrant_mean", int, "COUNTS", "absolute quadrant-mean floor"),
+    ),
+}
+
 # config-file keys and how to convert their values (CLI flags take precedence);
 # the detector flags convert with the same functions
 _CONFIG_KEYS = {
-    "active_delta": _checked(int, MotionConfig, "active_pixel_delta"),
-    "active_fraction": _checked(float, MotionConfig, "active_fraction"),
-    "max_hold_frames": _checked(int, MotionConfig, "max_hold_frames"),
-    "roi_ratio": _checked(float, RoiConfig, "ratio"),
-    "roi_min_mean": _checked(int, RoiConfig, "min_quadrant_mean"),
-    "mode": _mode,
-    "zones": _file,
+    key: _checked(convert, config, field)
+    for config, flags in _DETECTOR_FLAGS.items()
+    for key, field, convert, _, _ in flags
 }
+_CONFIG_KEYS.update(mode=_mode, zones=_file)
 
 
 def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(
         prog="thermal-sentry",
         description="Human-presence detection for low-resolution thermal imagery.",
-        # main() reads --config before parsing; an abbreviation it cannot
-        # see must not be accepted and then ignored
+        # the one root option is spelled out: --conf is a usage error, not
+        # a config file
         allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
         metavar="FILE",
-        help=f"key=value config file (default: ${CONFIG_ENV})",
+        help=f"key=value config file, given before COMMAND (default: ${CONFIG_ENV})",
     )
 
     detector = _Parser(add_help=False)
     group = detector.add_argument_group("detector options")
-    group.add_argument("--active-delta", default=20, metavar="COUNTS",
-                       type=_CONFIG_KEYS["active_delta"],
-                       help="per-pixel movement threshold (default 20)")
-    group.add_argument("--active-fraction", default=0.05, metavar="FRAC",
-                       type=_CONFIG_KEYS["active_fraction"],
-                       help="fraction of active pixels that means movement (default 0.05)")
-    group.add_argument("--max-hold-frames", default=None, metavar="N",
-                       type=_CONFIG_KEYS["max_hold_frames"],
-                       help="force a background refresh after N movement frames")
-    group.add_argument("--roi-ratio", default=1.20, metavar="RATIO",
-                       type=_CONFIG_KEYS["roi_ratio"],
-                       help="quadrant mean must exceed RATIO x frame mean (default 1.20)")
-    group.add_argument("--roi-min-mean", default=1, metavar="COUNTS",
-                       type=_CONFIG_KEYS["roi_min_mean"],
-                       help="absolute quadrant-mean floor (default 1)")
+    for config, flags in _DETECTOR_FLAGS.items():
+        for key, field, _, metavar, text in flags:
+            default = getattr(config(), field)
+            group.add_argument("--" + key.replace("_", "-"), default=default, metavar=metavar,
+                               type=_CONFIG_KEYS[key],
+                               help=text if default is None else f"{text} (default {default})")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
@@ -193,13 +198,19 @@ def _load_config_file(path: str) -> dict:
 
 
 def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
-    motion_cfg = MotionConfig(
-        active_pixel_delta=args.active_delta,
-        active_fraction=args.active_fraction,
-        max_hold_frames=args.max_hold_frames,
+    return tuple(
+        config(**{field: getattr(args, key) for key, field, *_ in flags})
+        for config, flags in _DETECTOR_FLAGS.items()
     )
-    roi_cfg = RoiConfig(ratio=args.roi_ratio, min_quadrant_mean=args.roi_min_mean)
-    return motion_cfg, roi_cfg
+
+
+def _parse_file(path: str, parse):
+    """`parse` of the file's text, with the file named in its errors."""
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _decimal3(x: float) -> str:
@@ -288,9 +299,7 @@ def cmd_detect(args) -> int:
     motion_cfg, roi_cfg = _detector_configs(args)
     # sequential: a frame the quadrant method flagged reports no movement
     sequential = args.mode == "sequential"
-    zone_cfg = ZoneConfig()
-    if args.zones:
-        zone_cfg = parse_zone_config(Path(args.zones).read_text())
+    zone_cfg = _parse_file(args.zones, parse_zone_config) if args.zones else ZoneConfig()
 
     frames = replay_dir(args.input_dir) if args.input_dir else replay_files(args.frames)
     target, temp = _open_out(args.out) if args.out else (nullcontext(sys.stdout), None)
@@ -378,7 +387,7 @@ def cmd_eval(args) -> int:
 def cmd_synth(args) -> int:
     from .synth import parse_scene
 
-    spec = parse_scene(Path(args.scene).read_text())
+    spec = _parse_file(args.scene, parse_scene)
     dataset = generate(spec, args.out_dir)
     positives = sum(1 for label in dataset.labels if label.human_present)
     print(f"wrote {len(dataset.frame_paths)} frames to {dataset.directory}")
@@ -388,32 +397,21 @@ def cmd_synth(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-
-    # the config file supplies the parser's defaults, so it is read first;
-    # like argparse, take the last --config FILE or --config=FILE
-    config_path = os.environ.get(CONFIG_ENV)
-    for at, arg in enumerate(argv):
-        if arg == "--config":
-            if at + 1 >= len(argv):
-                print("thermal-sentry: --config requires a file", file=sys.stderr)
-                return EXIT_USAGE
-            config_path = argv[at + 1]
-        elif arg.startswith("--config="):
-            config_path = arg.partition("=")[2]
-    defaults = {}
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if not getattr(args, "func", None):
+        parser.print_help()
+        return EXIT_USAGE
+    # a config file supplies defaults for a second parse, so that a flag on
+    # the command line still wins; --config '' names no file
+    config_path = os.environ.get(CONFIG_ENV) if args.config is None else args.config
     if config_path:
         try:
             defaults = _load_config_file(config_path)
         except (OSError, ValueError) as exc:
             print(f"thermal-sentry: {exc}", file=sys.stderr)
             return EXIT_DATA
-
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
-    if not getattr(args, "func", None):
-        parser.print_help()
-        return EXIT_USAGE
+        args = build_parser(defaults).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # every data error class is a ValueError

@@ -286,9 +286,7 @@ def _parse_blob(lineno: int, value: str) -> BlobSpec:
             waypoints.append((int(fields[0]), float(fields[1]), float(fields[2])))
         except ValueError:
             raise SceneError(f"line {lineno}: bad waypoint {part!r}") from None
-    return BlobSpec(
-        amplitude=amplitude,
-        sigma=sigma,
-        path=tuple(waypoints),
-        is_human=kind == "human",
-    )
+    try:
+        return BlobSpec(amplitude, sigma, tuple(waypoints), is_human=kind == "human")
+    except SceneError as exc:
+        raise SceneError(f"line {lineno}: {exc}") from None

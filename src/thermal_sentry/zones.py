@@ -167,7 +167,8 @@ def parse_zone_config(text: str) -> ZoneConfig:
     line is silently overridden by a later one.
     """
     classes = _all_ignore()
-    counts = {"debounce": 3, "clear": 3}
+    default = ZoneConfig()
+    counts = {"debounce": default.debounce_frames, "clear": default.clear_frames}
     for lineno, raw, key, value, earlier in key_value_lines(text):
         if value is None:
             raise ZoneConfigError(f"line {lineno}: expected key=value, got {raw!r}")

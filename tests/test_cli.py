@@ -12,6 +12,8 @@ import thermal_sentry
 from thermal_sentry import cli
 from thermal_sentry.cli import main
 from thermal_sentry.frame import write_pgm
+from thermal_sentry.motion import MotionConfig
+from thermal_sentry.roi import RoiConfig
 from conftest import make_frame
 
 DETECTION_KEYS = {
@@ -141,6 +143,15 @@ class TestDetect:
         assert code == 2
         assert out == ""
         assert "line 3: q3 repeats line 1" in err
+
+    def test_zone_file_error_names_the_file(self, tmp_path, capsys):
+        zones = tmp_path / "zones.cfg"
+        zones.write_text("Q3=critical\nq3=ignore\n")
+        code, out, err = run_cli(
+            capsys, "detect", "--input-dir", str(tmp_path), "--zones", str(zones)
+        )
+        assert code == 2 and out == ""
+        assert f"thermal-sentry: {zones}: line 2: q3 repeats line 1" in err
 
     def test_q0_events_and_return_to_run_serialize(self, tmp_path, capsys):
         # Q0 and SafetyState.RUN are falsy IntEnums; make sure the NDJSON
@@ -550,6 +561,41 @@ class TestSynth:
         assert "out of the renderable range" in err
         assert not out_dir.exists()
 
+    def test_scene_file_error_names_the_file(self, tmp_path, capsys):
+        scene = tmp_path / "bad.scene"
+        scene.write_text("frames=2\nnonsense\n")
+        code, out, err = run_cli(
+            capsys, "synth", "--scene", str(scene), "--out-dir", str(tmp_path / "x")
+        )
+        assert code == 2 and out == ""
+        assert f"thermal-sentry: {scene}: line 2: expected key=value" in err
+
+    @pytest.mark.parametrize("blob, message", [
+        ("nan,2,human,0:1:1", "blob amplitude must be finite"),
+        ("inf,2,human,0:1:1", "blob amplitude must be finite"),
+        ("0,2,human,0:1:1", "blob amplitude must be positive"),
+        ("-5,2,human,0:1:1", "blob amplitude must be positive"),
+        ("100,nan,human,0:1:1", "blob sigma must be finite"),
+        ("100,inf,human,0:1:1", "blob sigma must be finite"),
+        ("100,0,human,0:1:1", "blob sigma must be positive"),
+        ("100,-2,human,0:1:1", "blob sigma must be positive"),
+        ("100,1e-200,human,0:1:1", "blob sigma 1e-200 is out of the renderable range"),
+        ("100,1e+200,human,0:1:1", "blob sigma 1e+200 is out of the renderable range"),
+        ("100,2,human,0:1:nan", "waypoint x and y must be finite"),
+        ("100,2,human,5:1:1,5:2:2", "waypoint frame indices must strictly increase"),
+        ("100,2,human,5:1:1,3:2:2", "waypoint frame indices must strictly increase"),
+    ])
+    def test_rejected_blob_names_its_line(self, tmp_path, capsys, blob, message):
+        scene = tmp_path / "blob.scene"
+        scene.write_text(f"frames=2\nwidth=4\nheight=4\n# the blob\nblob={blob}\n")
+        out_dir = tmp_path / "x"
+        code, out, err = run_cli(
+            capsys, "synth", "--scene", str(scene), "--out-dir", str(out_dir)
+        )
+        assert code == 2 and out == ""
+        assert f"thermal-sentry: {scene}: line 5: {message}" in err
+        assert not out_dir.exists()
+
     def test_frames_the_scene_does_not_write_are_refused(self, tmp_path, capsys):
         # a 2-frame scene over a 3-frame dataset would leave frame 2 to replay
         out_dir = make_dataset(tmp_path, STATIC_SCENE.replace("frames=10", "frames=3"))
@@ -852,3 +898,84 @@ class TestConfigFile:
         assert code == 2
         assert out == "" and "mode" in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text", ["volume=11\n", "roi_ratio=1.3\n"])
+    def test_config_after_the_subcommand_is_usage_error(self, tmp_path, capsys, text):
+        # --config is a root option; what the file holds does not matter
+        config = tmp_path / "sentry.cfg"
+        config.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--config", str(config), "--input-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+    def test_help_is_printed_whatever_the_config_holds(self, tmp_path, capsys):
+        config = tmp_path / "sentry.cfg"
+        config.write_text("volume=11\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(config), "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert "--config FILE" in out and err == ""
+
+    def test_config_flag_taken_as_a_flag_value_is_usage_error(self, tmp_path, capsys):
+        # --out lacks its file; the --config=FILE after it is not read
+        config = tmp_path / "sentry.cfg"
+        config.write_text("volume=11\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--input-dir", str(tmp_path), "--out", f"--config={config}"])
+        assert exc.value.code == 1
+        assert "argument --out: expected one argument" in capsys.readouterr().err
+
+    def test_no_subcommand_with_a_config_prints_help(self, tmp_path, capsys):
+        config = tmp_path / "sentry.cfg"
+        config.write_text("volume=11\n")
+        code, out, _ = run_cli(capsys, "--config", str(config))
+        assert code == 1 and "COMMAND" in out
+
+    def test_last_config_flag_wins(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("volume=11\n")
+        good = tmp_path / "good.cfg"
+        good.write_text("roi_min_mean=60000\n")
+        data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
+        capsys.readouterr()
+        code, out, _ = run_cli(
+            capsys, f"--config={bad}", "--config", str(good), "detect", "--input-dir", str(data)
+        )
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert not any(any(r["flags"].values()) for r in records)
+        code, _, err = run_cli(
+            capsys, "--config", str(good), f"--config={bad}", "detect", "--input-dir", str(data)
+        )
+        assert code == 2 and f"{bad}:1: unknown config key" in err
+
+    def test_empty_config_name_leaves_the_env_var_unread(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "sentry.cfg"
+        config.write_text("volume=11\n")
+        monkeypatch.setenv("THERMAL_SENTRY_CONFIG", str(config))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run_cli(capsys, "--config=", "detect", "--input-dir", str(empty)) == (0, "", "")
+        assert run_cli(capsys, "detect", "--input-dir", str(empty))[0] == 2
+
+
+class TestDefaults:
+    @pytest.mark.parametrize("argv", [["detect"], ["eval", "--cells", "1,2,3,4"]])
+    def test_detector_defaults_are_the_config_classes(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._detector_configs(args) == (MotionConfig(), RoiConfig())
+
+    def test_help_prints_the_config_class_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["detect", "--help"])
+        options = " ".join(capsys.readouterr().out.split()).split("detector options:")[1]
+        motion, roi = MotionConfig(), RoiConfig()
+        for flag, default in [
+            ("--active-delta COUNTS", motion.active_pixel_delta),
+            ("--active-fraction FRAC", motion.active_fraction),
+            ("--roi-ratio RATIO", roi.ratio),
+            ("--roi-min-mean COUNTS", roi.min_quadrant_mean),
+        ]:
+            assert f"(default {default})" in options.split(flag, 1)[1].split(" --", 1)[0]

@@ -74,6 +74,7 @@ class TestParse:
         cfg = parse_zone_config("")
         assert all(c is ZoneClass.IGNORE for c in cfg.zone_class.values())
         assert cfg.debounce_frames == 3 and cfg.clear_frames == 3
+        assert cfg == ZoneConfig() == parse_zone_config("Q1=ignore")
 
     def test_case_insensitive_and_comments(self):
         cfg = parse_zone_config("# plan\nq1=WARNING  # left belt\nCLEAR=5\n")

@@ -2,9 +2,10 @@
 
 Detection output is NDJSON, one record per line. Per-frame records carry
 exactly the fields {frame, verdict, movement, active_count, quadrant_means,
-flags, state, elapsed_us}; zone events are separate records with the fields
-{frame, event, quadrant, from_state, to_state}. Exit codes: 0 success,
-1 usage error, 2 data error.
+flags, state, elapsed_us}; both detectors run on every frame, so `movement`
+is always a bool and `active_count` always an int. Zone events are separate
+records with the fields {frame, event, quadrant, from_state, to_state}.
+Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ EXIT_DATA = 2
 
 CONFIG_ENV = "THERMAL_SENTRY_CONFIG"
 
-_MODES = ("parallel", "sequential")
-
-
-def _mode(text: str) -> str:
-    if text not in _MODES:
-        raise ValueError(text)
-    return text
-
-
 def _file(text: str) -> str:
     # '' would mean no zone file (every quadrant ignored), stdout or the
     # current directory, not the file the flag names
@@ -54,7 +46,7 @@ _RECORD = (
     '"flags": {{"Q0": {}, "Q1": {}, "Q2": {}, "Q3": {}}}, '
     '"state": "{}", "elapsed_us": {}}}\n'
 ).format
-_LITERAL = {True: "true", False: "false", None: "null"}
+_LITERAL = {True: "true", False: "false"}
 # A zone event the same way; every name it holds is plain ASCII.
 _EVENT = (
     '{{"frame": {}, "event": "{}", "quadrant": {}, "from_state": {}, "to_state": {}}}\n'
@@ -62,6 +54,12 @@ _EVENT = (
 
 
 class _Parser(argparse.ArgumentParser):
+    # every option is spelled out in full: an abbreviation such as --conf or
+    # --max-hold is a usage error. add_subparsers builds each subcommand's
+    # parser as this class, so the rule holds for every subcommand.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors; 2 is reserved for data errors here
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -110,16 +108,13 @@ _CONFIG_KEYS = {
     for config, flags in _DETECTOR_FLAGS.items()
     for key, field, convert, _, _ in flags
 }
-_CONFIG_KEYS.update(mode=_mode, zones=_file)
+_CONFIG_KEYS.update(zones=_file)
 
 
 def build_parser(defaults: dict | None = None) -> _Parser:
     parser = _Parser(
         prog="thermal-sentry",
         description="Human-presence detection for low-resolution thermal imagery.",
-        # the one root option is spelled out: --conf is a usage error, not
-        # a config file
-        allow_abbrev=False,
     )
     parser.add_argument(
         "--config",
@@ -146,8 +141,6 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_detect.add_argument("--input-dir", metavar="DIR",
                           help="directory of PGM frames (lexicographic order)")
     p_detect.add_argument("--zones", metavar="FILE", type=_file, help="zone configuration file")
-    p_detect.add_argument("--mode", choices=_MODES, default="parallel",
-                          help="combine mode: run both methods, or B first (default parallel)")
     p_detect.add_argument("--out", metavar="FILE", type=_file,
                           help="write NDJSON here instead of stdout")
     p_detect.set_defaults(func=cmd_detect)
@@ -180,7 +173,11 @@ def build_parser(defaults: dict | None = None) -> _Parser:
 
 def _load_config_file(path: str) -> dict:
     defaults = {}
-    lines = key_value_lines(Path(path).read_text(), lambda key: key.replace("-", "_"))
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    lines = key_value_lines(text, lambda key: key.replace("-", "_"))
     for lineno, raw, key, value, earlier in lines:
         if value is None:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
@@ -206,9 +203,8 @@ def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
 
 def _parse_file(path: str, parse):
     """`parse` of the file's text, with the file named in its errors."""
-    text = Path(path).read_text()
     try:
-        return parse(text)
+        return parse(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -228,8 +224,8 @@ def _decimal3(x: float) -> str:
 def record_line(
     frame: int,
     verdict: bool,
-    movement: bool | None,
-    active_count: int | None,
+    movement: bool,
+    active_count: int,
     quadrant_means: tuple[float, float, float, float],
     flags: tuple[bool, bool, bool, bool],
     state: str,
@@ -241,8 +237,7 @@ def record_line(
     m0, m1, m2, m3 = quadrant_means
     f0, f1, f2, f3 = flags
     return _RECORD(
-        frame, _LITERAL[verdict], _LITERAL[movement],
-        "null" if active_count is None else active_count,
+        frame, _LITERAL[verdict], _LITERAL[movement], active_count,
         _decimal3(m0), _decimal3(m1), _decimal3(m2), _decimal3(m3),
         _LITERAL[f0], _LITERAL[f1], _LITERAL[f2], _LITERAL[f3],
         state, _decimal3(elapsed_us),
@@ -297,8 +292,6 @@ def cmd_detect(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     motion_cfg, roi_cfg = _detector_configs(args)
-    # sequential: a frame the quadrant method flagged reports no movement
-    sequential = args.mode == "sequential"
     zone_cfg = _parse_file(args.zones, parse_zone_config) if args.zones else ZoneConfig()
 
     frames = replay_dir(args.input_dir) if args.input_dir else replay_files(args.frames)
@@ -310,13 +303,12 @@ def cmd_detect(args) -> int:
             for frame in frames:
                 detection = hybrid_step(state, frame, roi_cfg)
                 safety, events = zone_update(zone_state, detection, zone_cfg)
-                roi = detection.roi
-                motion = None if sequential and roi.any else detection.motion
+                roi, motion = detection.roi, detection.motion
                 out.write(record_line(
                     detection.frame_index,
                     detection.verdict,
-                    motion.movement if motion is not None else None,
-                    motion.active_count if motion is not None else None,
+                    motion.movement,
+                    motion.active_count,
                     roi.quadrant_means,
                     roi.flags,
                     safety.label,

@@ -129,7 +129,7 @@ def read_labels(path: str | Path) -> list[GroundTruthLabel]:
     with path.open(newline="") as fh:
         try:
             rows = list(csv.reader(fh))
-        except csv.Error as exc:  # such as a field over csv's size limit
+        except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, not UTF-8
             raise DatasetError(f"{path}: {exc}") from None
     if not rows or [c.strip().lower() for c in rows[0]] != ["frame", "present", "quadrants"]:
         raise DatasetError(f"{path}: expected header 'frame,present,quadrants'")

@@ -219,8 +219,8 @@ def replay_dir(path: str | Path) -> Iterator[ThermalFrame]:
 def replay_files(paths: Iterable[str | Path]) -> Iterator[ThermalFrame]:
     """Yield frames from files in the given order.
 
-    Frame indices are (re)assigned sequentially from 0, which makes the file
-    order the stream order. A dimension change mid-stream is an error.
+    Frame indices are (re)assigned in the given order from 0, which makes the
+    file order the stream order. A dimension change mid-stream is an error.
     """
     dims: tuple[int, int] | None = None
     for index, file in enumerate(paths):

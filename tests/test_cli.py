@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -307,54 +308,34 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         assert link.is_symlink()
         assert len(target.read_text().splitlines()) == len(expected.splitlines())
 
-    def test_sequential_mode_withholds_movement_fields(self, tmp_path, capsys):
-        data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
-        capsys.readouterr()
-        code, out, _ = run_cli(
-            capsys, "detect", "--input-dir", str(data), "--mode", "sequential"
-        )
-        assert code == 0
-        records = [json.loads(line) for line in out.splitlines() if "verdict" in json.loads(line)]
-        flagged = [r for r in records if any(r["flags"].values())]
-        assert flagged
-        for record in flagged:
-            assert record["movement"] is None
-            assert record["active_count"] is None
-            assert record["verdict"] is True
-
-    def test_sequential_mode_differs_from_parallel_only_in_withheld_movement(
-        self, tmp_path, capsys
-    ):
+    def test_movement_fields_are_set_on_every_record(self, tmp_path, capsys):
+        # both detectors run on every frame, so a frame the quadrant method
+        # flagged still reports what the movement method saw
         data = make_dataset(tmp_path, DRIFT_AND_VISIT_SCENE)
         zones = tmp_path / "zones.cfg"
         zones.write_text("Q0=critical\ndebounce=2\n")
         capsys.readouterr()
-        runs = {}
-        for mode in ("parallel", "sequential"):
-            code, out, _ = run_cli(capsys, "detect", "--input-dir", str(data),
-                                   "--zones", str(zones), "--mode", mode)
-            assert code == 0
-            runs[mode] = [json.loads(line) for line in out.splitlines()]
-        assert len(runs["parallel"]) == len(runs["sequential"])
-
-        movement_fields = ("movement", "active_count")
+        code, out, _ = run_cli(capsys, "detect", "--input-dir", str(data),
+                               "--zones", str(zones))
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        detections = [r for r in records if "verdict" in r]
+        assert len(detections) == 14 and len(records) > 14
         flagged = movement_only = 0
-        for par, seq in zip(runs["parallel"], runs["sequential"]):
-            if "verdict" not in par:  # zone event
-                assert seq == par
-                continue
-            ignored = (*movement_fields, "elapsed_us")
-            assert ({k: v for k, v in seq.items() if k not in ignored}
-                    == {k: v for k, v in par.items() if k not in ignored})
-            if any(par["flags"].values()):
+        for record in detections:
+            assert type(record["movement"]) is bool
+            assert type(record["active_count"]) is int
+            if any(record["flags"].values()):
                 flagged += 1
-                assert [seq[k] for k in movement_fields] == [None, None]
             else:
-                movement_only += par["movement"]
-                assert [seq[k] for k in movement_fields] == [
-                    par[k] for k in movement_fields
-                ]
+                movement_only += record["movement"]
         assert flagged == 4 and movement_only == 9
+
+    def test_mode_is_not_a_detect_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--mode", "parallel", "--input-dir", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
     def test_unreadable_input_is_data_error(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.pgm"
@@ -510,8 +491,9 @@ class TestEval:
 
     def test_mode_is_not_an_eval_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["eval", "--mode", "sequential", "--cells", "1,2,3,4"])
+            main(["eval", "--mode", "parallel", "--cells", "1,2,3,4"])
         assert exc.value.code == 1
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -663,6 +645,44 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == "" and f"argument {flag}: empty file name" in err
         assert list(cwd.iterdir()) == [] and not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "eval", "synth"])
+    def test_abbreviated_flag_is_usage_error(self, capsys, command):
+        # every long option of the subcommand, one character short, is
+        # refused rather than read as the option it abbreviates
+        argv = {
+            "detect": ["detect", "--input-dir", "ds"],
+            "eval": ["eval", "--cells", "1,2,3,4"],
+            "synth": ["synth", "--scene", "s.scene", "--out-dir", "ds"],
+        }[command]
+        [subcommands] = [action for action in cli.build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        options = [option for action in subcommands.choices[command]._actions
+                   for option in action.option_strings if option.startswith("--")]
+        assert len(options) > 1
+        for option in options:
+            prefix = option[:-1]
+            assert prefix not in options
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([*argv, prefix, "1"])
+            assert exc.value.code == 1, option
+            assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["config", "zones", "scene", "labels"])
+    def test_non_utf8_file_is_data_error_naming_it(self, tmp_path, capsys, kind):
+        data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(b"\xff\n")
+        argv = {
+            "config": ["--config", str(bad), "detect", "--input-dir", str(data)],
+            "zones": ["detect", "--input-dir", str(data), "--zones", str(bad)],
+            "scene": ["synth", "--scene", str(bad), "--out-dir", str(tmp_path / "new")],
+            "labels": ["eval", "--input-dir", str(data), "--labels", str(bad)],
+        }[kind]
+        capsys.readouterr()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"thermal-sentry: {bad}:")
 
     def test_every_data_error_is_a_value_error(self):
         # main() turns OSError and ValueError into exit 2; an error class
@@ -886,8 +906,9 @@ class TestConfigFile:
         assert exc.value.code == 1
 
     def test_bad_mode_in_config_is_data_error_for_every_command(self, tmp_path, capsys):
+        # mode is not a config key, whatever its value
         config = tmp_path / "sentry.cfg"
-        config.write_text("mode=foo\n")
+        config.write_text("mode=parallel\n")
         scene = tmp_path / "s.scene"
         scene.write_text(STATIC_SCENE)
         out_dir = tmp_path / "out"
@@ -896,7 +917,7 @@ class TestConfigFile:
             "synth", "--scene", str(scene), "--out-dir", str(out_dir),
         )
         assert code == 2
-        assert out == "" and "mode" in err
+        assert out == "" and f"{config}:1: unknown config key 'mode=parallel'" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("text", ["volume=11\n", "roi_ratio=1.3\n"])

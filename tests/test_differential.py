@@ -861,15 +861,15 @@ class TestRecordLineAgainstJson:
     @given(
         frame=st.one_of(st.just(0), st.integers(0, 10**6), st.integers(0, 2**70)),
         verdict=st.booleans(),
-        motion=st.one_of(st.none(), st.tuples(st.booleans(), st.integers(0, 2**40))),
+        movement=st.booleans(),
+        active_count=st.integers(0, 2**40),
         means=st.tuples(*[record_floats] * 4),
         flags=st.tuples(*[st.booleans()] * 4),
         state=st.sampled_from(["Run", "Slow", "Stop"]),
         elapsed_us=record_floats,
     )
-    def test_byte_equal_to_json_dumps(self, frame, verdict, motion, means, flags,
-                                      state, elapsed_us):
-        movement, active_count = motion if motion else (None, None)
+    def test_byte_equal_to_json_dumps(self, frame, verdict, movement, active_count, means,
+                                      flags, state, elapsed_us):
         args = (frame, verdict, movement, active_count, means, flags, state, elapsed_us)
         assert record_line(*args) == reference_record_line(*args)
 

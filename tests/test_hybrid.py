@@ -68,59 +68,42 @@ class TestVerdictTable:
         assert not det.verdict
 
 
-def detect_records(tmp_path, capsys, frames, mode):
-    """Run `detect --mode MODE` over frames written as PGM files; return the
-    per-frame records (zone events dropped)."""
+def detect_records(tmp_path, capsys, frames):
+    """Run `detect` over frames written as PGM files; return the per-frame
+    records (zone events dropped)."""
     paths = []
     for frame in frames:
         path = tmp_path / f"f{frame.frame_index:03d}.pgm"
         write_pgm(frame, path)
         paths.append(str(path))
     capsys.readouterr()
-    assert main(["detect", "--mode", mode, *paths]) == 0
+    assert main(["detect", *paths]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     return [r for r in records if "verdict" in r]
 
 
-class TestModes:
-    # the combine mode is applied to detect's records: sequential withholds
-    # the movement fields of a frame the quadrant method flagged
+class TestDetectRecords:
+    # both detectors run on every frame, and detect reports both results
 
     def test_parallel_reports_both_components(self, tmp_path, capsys):
-        [rec] = detect_records(tmp_path, capsys, [hot_quadrant_frame(0)], "parallel")
-        assert rec["movement"] is not None and rec["active_count"] is not None
+        [rec] = detect_records(tmp_path, capsys, [hot_quadrant_frame(0)])
+        assert rec["movement"] is False and rec["active_count"] == 0
         assert rec["flags"]["Q0"] and rec["verdict"]
 
-    def test_sequential_withholds_motion_when_roi_decides(self, tmp_path, capsys):
-        [rec] = detect_records(tmp_path, capsys, [hot_quadrant_frame(0)], "sequential")
-        assert rec["flags"]["Q0"] and rec["verdict"]
-        assert rec["movement"] is None and rec["active_count"] is None
-
-    def test_sequential_reports_motion_when_roi_negative(self, tmp_path, capsys):
-        frames = [global_shift_frame(0, 100), global_shift_frame(1, 200)]
-        rec = detect_records(tmp_path, capsys, frames, "sequential")[1]
-        assert not any(rec["flags"].values())
-        assert rec["movement"] is True and rec["active_count"] > 0
-        assert rec["verdict"]
-
-    def test_sequential_still_maintains_background(self, tmp_path, capsys):
-        # motion runs on roi-positive frames too, so both modes see the same
-        # background evolution and produce the same verdicts; the last frame
-        # is compared against the background the flagged frames left behind
+    def test_motion_runs_on_flagged_frames(self, tmp_path, capsys):
+        # the first unflagged frame is compared against the background the
+        # flagged frames left behind; had the movement method skipped them,
+        # that frame would be its own background and show no movement
         frames = [hot_quadrant_frame(0), hot_quadrant_frame(1, hot=500),
                   global_shift_frame(2, 50), global_shift_frame(3, 300)]
-        runs = {mode: detect_records(tmp_path, capsys, frames, mode)
-                for mode in ("parallel", "sequential")}
-        assert ([r["verdict"] for r in runs["parallel"]]
-                == [r["verdict"] for r in runs["sequential"]])
-        last_par, last_seq = runs["parallel"][-1], runs["sequential"][-1]
-        assert not any(last_seq["flags"].values())
-        assert ([last_seq["movement"], last_seq["active_count"]]
-                == [last_par["movement"], last_par["active_count"]])
+        records = detect_records(tmp_path, capsys, frames)
+        assert [any(r["flags"].values()) for r in records] == [True, True, False, False]
+        assert records[2]["movement"] is True
 
         state = MotionState()
         dets = [hybrid_step(state, frame) for frame in frames]
-        assert last_seq["active_count"] == dets[-1].motion.active_count
+        assert ([[r["movement"], r["active_count"]] for r in records]
+                == [[d.motion.movement, d.motion.active_count] for d in dets])
 
 
 class TestUnionProperty:

@@ -55,8 +55,7 @@ def key_values(keys, values):
 class TestConfigReader:
     @settings(max_examples=200, deadline=None)
     @given(text=lines_of(
-        key_values(sorted(_CONFIG_KEYS) + ["roi-ratio", "MODE", "bogus"],
-                   st.one_of(numbers, st.sampled_from(["parallel", "sequential"]))),
+        key_values(sorted(_CONFIG_KEYS) + ["roi-ratio", "mode", "MODE", "bogus"], numbers),
     ))
     @example(text="active_delta=5\nactive-delta=50")
     def test_returns_settings_or_value_error(self, tmp_path_factory, text):

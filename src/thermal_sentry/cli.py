@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .frame import replay_dir, replay_files
 from .hybrid import hybrid_step
-from .keyvalue import key_value_lines
+from .keyvalue import read_settings
 from .motion import MotionConfig, MotionState
 from .roi import RoiConfig
 from .zones import ZoneConfig, ZoneEvent, ZoneState, parse_zone_config, zone_update
@@ -30,11 +30,17 @@ EXIT_DATA = 2
 
 CONFIG_ENV = "THERMAL_SENTRY_CONFIG"
 
+
+class BadValueError(argparse.ArgumentTypeError, ValueError):
+    """A flag or config-file value out of range: argparse prints its message
+    for a flag, and the config-file reader catches it as a ValueError."""
+
+
 def _file(text: str) -> str:
     # '' would mean no zone file (every quadrant ignored), stdout or the
     # current directory, not the file the flag names
     if not text:
-        raise argparse.ArgumentTypeError("empty file name")
+        raise BadValueError("empty file name")
     return text
 
 
@@ -65,6 +71,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    # argparse hands a subcommand's unrecognized arguments back to the root
+    # parser, whose usage line lists none of the subcommand's flags, so
+    # each parser reports its own
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _checked(convert, config, field: str):
     """Flag and config-file type that converts the text and then has the
@@ -77,7 +92,7 @@ def _checked(convert, config, field: str):
         try:
             config(**{field: value})
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+            raise BadValueError(str(exc)) from None
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
@@ -171,27 +186,9 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    defaults = {}
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    lines = key_value_lines(text, lambda key: key.replace("-", "_"))
-    for lineno, raw, key, value, earlier in lines:
-        if value is None:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {raw!r}")
-        if earlier is not None:
-            raise ValueError(f"{path}:{lineno}: {key} repeats line {earlier}")
-        try:
-            defaults[key] = _CONFIG_KEYS[key](value)
-        except argparse.ArgumentTypeError as exc:  # out of range, or empty
-            raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad value for {key}") from None
-    return defaults
+def parse_config(text: str) -> dict:
+    """Flag defaults, by config-file key, from config-file text."""
+    return read_settings(text, _CONFIG_KEYS)
 
 
 def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
@@ -399,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     config_path = os.environ.get(CONFIG_ENV) if args.config is None else args.config
     if config_path:
         try:
-            defaults = _load_config_file(config_path)
+            defaults = _parse_file(config_path, parse_config)
         except (OSError, ValueError) as exc:
             print(f"thermal-sentry: {exc}", file=sys.stderr)
             return EXIT_DATA

@@ -101,11 +101,6 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
     cfg = state.config
     required = required_active_count(cfg.active_fraction, frame.width * frame.height)
     background = frame if state.background is None else state.background
-    if (frame.width, frame.height) != (background.width, background.height):
-        raise ValueError(
-            f"frame {frame.width}x{frame.height} does not match background "
-            f"{background.width}x{background.height}"
-        )
     diff = abs_diff(frame, background)
     active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
     movement = active >= required

@@ -25,7 +25,7 @@ import numpy as np
 
 from .evaluate import GroundTruthLabel, write_labels
 from .frame import QuadrantId, ThermalFrame, write_pgm
-from .keyvalue import key_value_lines
+from .keyvalue import read_settings
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -218,6 +218,31 @@ def generate(spec: SceneSpec, out_dir: str | Path) -> LabeledDataset:
     return LabeledDataset(out, labels_path, paths, labels)
 
 
+def _parse_blob(value: str) -> BlobSpec:
+    parts = [p.strip() for p in value.split(",")]
+    if len(parts) < 4:
+        raise SceneError("blob needs amplitude, sigma, kind and waypoints")
+    try:
+        amplitude = float(parts[0])
+        sigma = float(parts[1])
+    except ValueError:
+        raise SceneError(f"bad blob numbers {value!r}") from None
+    kind = parts[2].lower()
+    if kind not in ("human", "object"):
+        raise SceneError("blob kind must be human or object")
+    waypoints = []
+    for part in parts[3:]:
+        fields = part.split(":")
+        if len(fields) != 3:
+            raise SceneError(f"waypoint must be t:x:y, got {part!r}")
+        try:
+            waypoints.append((int(fields[0]), float(fields[1]), float(fields[2])))
+        except ValueError:
+            raise SceneError(f"bad waypoint {part!r}") from None
+    return BlobSpec(amplitude, sigma, tuple(waypoints), is_human=kind == "human")
+
+
+# scene-file keys and how to convert their values
 _SCENE_KEYS = {
     "width": int,
     "height": int,
@@ -226,67 +251,20 @@ _SCENE_KEYS = {
     "drift": float,
     "noise_sigma": float,
     "seed": int,
+    "blob": _parse_blob,
 }
 _KEY_TO_FIELD = {"drift": "drift_per_frame"}
 
 
 def parse_scene(text: str) -> SceneSpec:
-    """Parse a scene file.
-
-    key=value lines for the scalar settings (width, height, frames, ambient,
-    drift, noise_sigma, seed) plus one line per blob:
+    """Parse a scene file in the settings-file syntax of `read_settings`:
+    the scalar settings (width, height, frames, ambient, drift, noise_sigma,
+    seed), each on one line only, plus one line per blob:
 
         blob=<amplitude>,<sigma>,<human|object>,<t:x:y>[,<t:x:y>...]
-
-    `#` starts a comment. Each scalar setting may appear on one line only;
-    `blob=` lines repeat.
     """
-    settings: dict[str, object] = {}
-    blobs: list[BlobSpec] = []
-    for lineno, raw, key, value, earlier in key_value_lines(text):
-        if value is None:
-            raise SceneError(f"line {lineno}: expected key=value, got {raw!r}")
-        if key == "blob":
-            blobs.append(_parse_blob(lineno, value))
-        elif key in _SCENE_KEYS:
-            if earlier is not None:
-                raise SceneError(f"line {lineno}: {key} repeats line {earlier}")
-            try:
-                parsed = _SCENE_KEYS[key](value)
-            except ValueError:
-                raise SceneError(f"line {lineno}: bad value for {key}: {value!r}") from None
-            settings[_KEY_TO_FIELD.get(key, key)] = parsed
-        else:
-            raise SceneError(f"line {lineno}: unknown key {key!r}")
+    settings = read_settings(text, _SCENE_KEYS, repeat=("blob",), error=SceneError)
     if "frames" not in settings:
         raise SceneError("scene file must set frames")
-    return SceneSpec(blobs=tuple(blobs), **settings)  # type: ignore[arg-type]
-
-
-def _parse_blob(lineno: int, value: str) -> BlobSpec:
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) < 4:
-        raise SceneError(
-            f"line {lineno}: blob needs amplitude, sigma, kind and waypoints"
-        )
-    try:
-        amplitude = float(parts[0])
-        sigma = float(parts[1])
-    except ValueError:
-        raise SceneError(f"line {lineno}: bad blob numbers {value!r}") from None
-    kind = parts[2].lower()
-    if kind not in ("human", "object"):
-        raise SceneError(f"line {lineno}: blob kind must be human or object")
-    waypoints = []
-    for part in parts[3:]:
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise SceneError(f"line {lineno}: waypoint must be t:x:y, got {part!r}")
-        try:
-            waypoints.append((int(fields[0]), float(fields[1]), float(fields[2])))
-        except ValueError:
-            raise SceneError(f"line {lineno}: bad waypoint {part!r}") from None
-    try:
-        return BlobSpec(amplitude, sigma, tuple(waypoints), is_human=kind == "human")
-    except SceneError as exc:
-        raise SceneError(f"line {lineno}: {exc}") from None
+    blobs = tuple(settings.pop("blob", ()))
+    return SceneSpec(blobs=blobs, **{_KEY_TO_FIELD.get(k, k): v for k, v in settings.items()})

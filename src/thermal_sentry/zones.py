@@ -23,7 +23,7 @@ from typing import Mapping
 
 from .frame import QUADRANTS, QuadrantId
 from .hybrid import Detection
-from .keyvalue import key_value_lines
+from .keyvalue import read_settings
 
 
 class ZoneClass(Enum):
@@ -158,40 +158,34 @@ def zone_update(
     return target, events
 
 
-def parse_zone_config(text: str) -> ZoneConfig:
-    """Parse zone configuration text.
+def _count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"{count} is not positive")
+    return count
 
-    One `Qn=ignore|warning|critical` per line, optional `debounce=<int>` and
-    `clear=<int>` lines, `#` comments, case-insensitive. Quadrants not
-    mentioned default to Ignore. A key may appear on one line only, so no
-    line is silently overridden by a later one.
-    """
-    classes = _all_ignore()
+
+def _zone_class(text: str) -> ZoneClass:
+    try:
+        return ZoneClass(text.lower())
+    except ValueError:
+        raise ValueError(f"unknown zone class {text!r}") from None
+
+
+# zone-file keys and how to convert their values
+_ZONE_KEYS = {q.name.lower(): _zone_class for q in QuadrantId}
+_ZONE_KEYS.update(debounce=_count, clear=_count)
+
+
+def parse_zone_config(text: str) -> ZoneConfig:
+    """Parse zone configuration text: one `Qn=ignore|warning|critical` per
+    line, optional `debounce=<int>` and `clear=<int>` lines, in the
+    settings-file syntax of `read_settings`. Quadrants not mentioned
+    default to Ignore."""
+    settings = read_settings(text, _ZONE_KEYS, error=ZoneConfigError)
     default = ZoneConfig()
-    counts = {"debounce": default.debounce_frames, "clear": default.clear_frames}
-    for lineno, raw, key, value, earlier in key_value_lines(text):
-        if value is None:
-            raise ZoneConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        if earlier is not None:
-            raise ZoneConfigError(f"line {lineno}: {key} repeats line {earlier}")
-        value = value.lower()
-        if key in counts:
-            try:
-                count = int(value)
-            except ValueError:
-                raise ZoneConfigError(
-                    f"line {lineno}: {key} must be an integer, got {value!r}"
-                ) from None
-            if count < 1:
-                raise ZoneConfigError(f"line {lineno}: {key} must be positive")
-            counts[key] = count
-        elif key in ("q0", "q1", "q2", "q3"):
-            try:
-                classes[QuadrantId[key.upper()]] = ZoneClass(value)
-            except ValueError:
-                raise ZoneConfigError(
-                    f"line {lineno}: unknown zone class {value!r}"
-                ) from None
-        else:
-            raise ZoneConfigError(f"line {lineno}: unknown key {key!r}")
-    return ZoneConfig(classes, counts["debounce"], counts["clear"])
+    return ZoneConfig(
+        {q: settings.get(q.name.lower(), ZoneClass.IGNORE) for q in QuadrantId},
+        settings.get("debounce", default.debounce_frames),
+        settings.get("clear", default.clear_frames),
+    )

@@ -575,7 +575,7 @@ class TestSynth:
             capsys, "synth", "--scene", str(scene), "--out-dir", str(out_dir)
         )
         assert code == 2 and out == ""
-        assert f"thermal-sentry: {scene}: line 5: {message}" in err
+        assert f"thermal-sentry: {scene}: line 5: bad value for blob: {message}" in err
         assert not out_dir.exists()
 
     def test_frames_the_scene_does_not_write_are_refused(self, tmp_path, capsys):
@@ -668,7 +668,22 @@ class TestUsage:
             assert exc.value.code == 1, option
             assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["config", "zones", "scene", "labels"])
+    @pytest.mark.parametrize("argv, extras", [
+        (["detect", "--input", "/tmp", "--max-hold", "5"], "--input --max-hold 5"),
+        (["eval", "--bogus", "1"], "--bogus 1"),
+        (["synth", "--scene", "s.scene", "--out-dir", "ds", "--zz"], "--zz"),
+    ], ids=["detect", "eval", "synth"])
+    def test_unrecognized_flag_is_reported_by_its_subcommand(self, capsys, argv, extras):
+        # the usage line shown lists the subcommand's flags, not the root's
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage: thermal-sentry {argv[0]} [-h]")
+        assert err.endswith(
+            f"thermal-sentry {argv[0]}: error: unrecognized arguments: {extras}\n")
+
+    @pytest.mark.parametrize("kind",["config", "zones", "scene", "labels"])
     def test_non_utf8_file_is_data_error_naming_it(self, tmp_path, capsys, kind):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
         bad = tmp_path / f"bad.{kind}"
@@ -695,7 +710,7 @@ class TestUsage:
             and obj.__module__ == module.__name__
         }
         assert {error.__name__ for error in errors} == {
-            "PgmError", "ZoneConfigError", "DatasetError", "SceneError"}
+            "PgmError", "ZoneConfigError", "DatasetError", "SceneError", "BadValueError"}
         assert all(issubclass(error, ValueError) for error in errors)
 
 
@@ -816,7 +831,7 @@ class TestConfigFile:
         )
         assert code == 2
         assert out == ""
-        assert f"{config}:2: bad value for roi_ratio: ratio must be" in err
+        assert f"{config}: line 2: bad value for roi_ratio: ratio must be" in err
 
     def test_out_of_range_config_value_without_a_detector(self, tmp_path, capsys):
         # eval --cells builds no detector config, and still reads the file
@@ -827,7 +842,7 @@ class TestConfigFile:
         )
         assert code == 2
         assert out == ""
-        assert f"{config}:1: bad value for active_delta: active_pixel_delta must be" in err
+        assert f"{config}: line 1: bad value for active_delta: active_pixel_delta must be" in err
 
     @pytest.mark.parametrize("key, value", [
         ("active_delta", "65535"), ("roi_min_mean", "65535"),
@@ -871,11 +886,11 @@ class TestConfigFile:
             capsys, "--config", str(config), "detect", "--input-dir", str(tmp_path)
         )
         assert code == 2
-        assert f"{config}:2: expected key=value, got 'roi_ratio'" in err
+        assert f"{config}: line 2: expected key=value, got 'roi_ratio'" in err
 
     @pytest.mark.parametrize("text, message", [
-        ("active_delta=5\nactive_delta=50\n", ":2: active_delta repeats line 1"),
-        ("roi-ratio=1.5\n# same key\nroi_ratio=1.5\n", ":3: roi_ratio repeats line 1"),
+        ("active_delta=5\nactive_delta=50\n", ": line 2: active_delta repeats line 1"),
+        ("roi-ratio=1.5\n# same key\nroi_ratio=1.5\n", ": line 3: roi_ratio repeats line 1"),
     ])
     def test_repeated_config_key_is_data_error(self, tmp_path, capsys, text, message):
         config = tmp_path / "sentry.cfg"
@@ -895,7 +910,7 @@ class TestConfigFile:
             capsys, "--config", str(config), "detect", "--input-dir", str(tmp_path)
         )
         assert code == 2
-        assert f"{config}:1: bad value for zones" in err
+        assert f"{config}: line 1: bad value for zones: empty file name" in err
 
     def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys):
         # the file is read before parsing, so only the full flag is accepted
@@ -917,7 +932,7 @@ class TestConfigFile:
             "synth", "--scene", str(scene), "--out-dir", str(out_dir),
         )
         assert code == 2
-        assert out == "" and f"{config}:1: unknown config key 'mode=parallel'" in err
+        assert out == "" and f"{config}: line 1: unknown key 'mode'" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("text", ["volume=11\n", "roi_ratio=1.3\n"])
@@ -970,7 +985,7 @@ class TestConfigFile:
         code, _, err = run_cli(
             capsys, "--config", str(good), f"--config={bad}", "detect", "--input-dir", str(data)
         )
-        assert code == 2 and f"{bad}:1: unknown config key" in err
+        assert code == 2 and f"{bad}: line 1: unknown key 'volume'" in err
 
     def test_empty_config_name_leaves_the_env_var_unread(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "sentry.cfg"

@@ -169,9 +169,14 @@ class TestMotionStep:
 
     def test_dimension_mismatch(self):
         state = MotionState()
-        motion_step(state, uniform_frame(4, 4, 0))
-        with pytest.raises(ValueError, match="background"):
+        background = uniform_frame(4, 4, 0)
+        motion_step(state, background)
+        assert motion_step(state, uniform_frame(4, 4, 100)).movement  # held
+        with pytest.raises(ValueError, match="dimension mismatch: 6x4 vs 4x4"):
             motion_step(state, uniform_frame(6, 4, 0))
+        # rejected before any state is written
+        assert state.background is background
+        assert state.frames_since_update == 1
 
     def test_determinism(self):
         seq = [frame_with_actives(8, 6, 100, 30, t * 5, frame_index=t) for t in range(8)]

@@ -16,9 +16,8 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry.cli import _CONFIG_KEYS, _load_config_file
+from thermal_sentry.cli import _CONFIG_KEYS, _parse_file, parse_config
 from thermal_sentry.evaluate import DatasetError, GroundTruthLabel, read_labels
-from thermal_sentry.keyvalue import key_value_lines
 from thermal_sentry.synth import SceneError, SceneSpec, parse_scene
 from thermal_sentry.zones import ZoneConfig, ZoneConfigError, parse_zone_config
 
@@ -41,9 +40,15 @@ def lines_of(*line_strategies):
     ).map(lambda parts: parts[1].join(parts[0]))
 
 
-def repeats_a_key(text, normalize=str, repeatable=()):
-    keys = [normalize(key) for _, _, key, _, _ in key_value_lines(text)
-            if key not in repeatable]
+def repeats_a_key(text, repeatable=()):
+    """Whether two key=value lines of `text` set one key, spelled alike once
+    a `#` comment is cut, the key stripped and lower-cased and `-` made `_`."""
+    keys = []
+    for line in text.splitlines():
+        key, sep, _ = line.split("#", 1)[0].partition("=")
+        key = key.strip().lower().replace("-", "_")
+        if sep and key not in repeatable:
+            keys.append(key)
     return len(keys) != len(set(keys))
 
 
@@ -62,23 +67,24 @@ class TestConfigReader:
         path = tmp_path_factory.mktemp("config") / "sentry.conf"
         path.write_text(text)
         try:
-            settings_ = _load_config_file(str(path))
+            settings_ = _parse_file(str(path), parse_config)
         except ValueError as exc:
             assert type(exc) is ValueError
-            assert str(exc).startswith(f"{path}:")
+            assert str(exc).startswith(f"{path}: line ")
             return
         assert set(settings_) <= set(_CONFIG_KEYS)
-        assert not repeats_a_key(path.read_text(), lambda key: key.replace("-", "_"))
+        assert not repeats_a_key(path.read_text())
 
 
 class TestZoneReader:
     @settings(max_examples=200, deadline=None)
     @given(text=lines_of(
-        key_values(["q0", "Q1", "q2", "q3", "q4", "debounce", "clear"],
+        key_values(["q0", "Q1", "q2", "q3", "q4", "debounce", "Debounce", "clear"],
                    st.one_of(numbers, st.sampled_from(
                        ["ignore", "warning", "CRITICAL", "stop"]))),
     ))
     @example(text="Q3=critical\nq3=ignore")
+    @example(text="Debounce=2\ndebounce=3")
     def test_returns_config_or_zone_config_error(self, text):
         try:
             config = parse_zone_config(text)
@@ -107,13 +113,14 @@ class TestSceneReader:
     @settings(max_examples=300, deadline=None)
     @given(text=lines_of(
         key_values(["width", "height", "frames", "ambient", "drift",
-                    "noise_sigma", "seed", "wobble"], numbers),
+                    "noise_sigma", "noise-sigma", "seed", "wobble"], numbers),
         blob_lines,
         st.just("frames=4"),
     ))
     @example(text="frames=4\nambient=nan")
     @example(text="frames=4\nblob=900,2,human,0:1e999:4")
     @example(text="frames=10\nframes=20")
+    @example(text="frames=4\nnoise-sigma=1\nnoise_sigma=2")
     def test_returns_finite_scene_or_scene_error(self, text):
         try:
             spec = parse_scene(text)

@@ -439,6 +439,8 @@ blob=250,5,object,0:130:20
         ("frames=10\nframes=20\n", "line 2: frames repeats line 1"),
         ("frames=4\nseed=1\nwidth=16\nSEED=1\n", "line 4: seed repeats line 2"),
         ("frames=4\ndrift=0.1\ndrift = 0.2\n", "line 3: drift repeats line 2"),
+        # - in a key is _
+        ("frames=4\nnoise-sigma=1\nnoise_sigma=2\n", "line 3: noise_sigma repeats line 2"),
     ])
     def test_repeated_key_rejected(self, text, message):
         with pytest.raises(SceneError, match=message):

@@ -86,7 +86,7 @@ class TestParse:
             parse_zone_config("Q9=critical")
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ZoneConfigError, match="zone class"):
+        with pytest.raises(ZoneConfigError, match="line 1: bad value for q1: unknown zone class 'lava'"):
             parse_zone_config("Q1=lava")
 
     def test_nonpositive_debounce_rejected(self):

@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _checked(convert, config, field: str):
     """Flag and config-file type that converts the text and then has the
-    config dataclass check the value, so an out-of-range value is reported
+    config class check the value, so an out-of-range value is reported
     where it is written: as a flag a usage error, in a config file a data
     error, even when a flag overrides it or the command builds no detector."""
 

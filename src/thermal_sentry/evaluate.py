@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .frame import QuadrantId, replay_dir
+from .frame import CheckedRecord, QuadrantId, replay_dir
 from .motion import MotionConfig, MotionState, motion_step
 from .roi import RoiConfig, roi_analyze
 
@@ -33,16 +33,14 @@ class Method(Enum):
     HYBRID = "hybrid"
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
+class ConfusionMatrix(CheckedRecord, namedtuple("ConfusionMatrix", "tp fp fn tn")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.fn, self.tn) < 0:
+    def __new__(cls, tp: int = 0, fp: int = 0, fn: int = 0, tn: int = 0):
+        self = super().__new__(cls, tp, fp, fn, tn)
+        if min(self) < 0:
             raise ValueError("confusion counts must be non-negative")
+        return self
 
     @property
     def total(self) -> int:
@@ -56,22 +54,23 @@ def accuracy(cm: ConfusionMatrix) -> float:
     return (cm.tp + cm.tn) / cm.total * 100.0
 
 
-@dataclass(frozen=True)
-class GroundTruthLabel:
+class GroundTruthLabel(CheckedRecord, namedtuple(
+    "GroundTruthLabel", "frame_index human_present occupied_quadrants"
+)):
     """Manual per-frame truth. `occupied_quadrants` may be empty even when a
     human is present (unlocalized labels)."""
 
-    frame_index: int
-    human_present: bool
-    occupied_quadrants: frozenset[QuadrantId] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, frame_index: int, human_present: bool,
+                occupied_quadrants: frozenset[QuadrantId] = frozenset()):
+        self = super().__new__(cls, frame_index, human_present, occupied_quadrants)
         if self.occupied_quadrants and not self.human_present:
             raise ValueError("occupied quadrants require human_present")
+        return self
 
 
-@dataclass(frozen=True)
-class LatencyStats:
+class LatencyStats(NamedTuple):
     max_us: float
     mean_us: float
     p99_us: float
@@ -81,15 +80,10 @@ class LatencyStats:
         arr = np.asarray(samples, dtype=np.float64)
         if arr.size == 0:
             raise ValueError("no latency samples")
-        return cls(
-            max_us=float(arr.max()),
-            mean_us=float(arr.mean()),
-            p99_us=float(np.percentile(arr, 99)),
-        )
+        return cls(float(arr.max()), float(arr.mean()), float(np.percentile(arr, 99)))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     matrices: Mapping[Method, ConfusionMatrix]
     accuracies: Mapping[Method, float]
     latency: Mapping[Method, LatencyStats]
@@ -268,11 +262,7 @@ def report_to_dict(report: EvalReport) -> dict:
     return {
         "frames_evaluated": report.frames_evaluated,
         "matrices": {
-            m.value: {
-                "tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn,
-                "total": cm.total,
-            }
-            for m, cm in report.matrices.items()
+            m.value: {**cm._asdict(), "total": cm.total} for m, cm in report.matrices.items()
         },
         "accuracies": {m.value: report.accuracies[m] for m in report.matrices},
         "accuracies_1dp": {

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -44,42 +44,46 @@ class QuadrantId(IntEnum):
 QUADRANTS = tuple(QuadrantId)
 
 
-@dataclass(frozen=True, eq=False)
-class ThermalFrame:
+class CheckedRecord:
+    """Put first among the bases of a namedtuple subclass whose `__new__`
+    checks the fields: `_replace` copies through `_make`, and this `_make`
+    builds through `__new__`, so a copy cannot skip the checks."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class ThermalFrame(CheckedRecord, namedtuple("ThermalFrame", "width height pixels frame_index")):
     """One radiometric image.
 
     `pixels` is a read-only (height, width) uint16 array. Dimensions must be
-    even and at least 2 so the quadrant split is exact.
+    even and at least 2 so the quadrant split is exact. Frames compare and
+    hash by identity: as tuples they would compare their pixel arrays.
     """
 
-    width: int
-    height: int
-    pixels: np.ndarray
-    frame_index: int = 0
+    __slots__ = ()
+    __ne__, __hash__ = object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.width < 2 or self.height < 2 or self.width % 2 or self.height % 2:
-            raise ValueError(
-                f"frame dimensions must be even and >= 2, got {self.width}x{self.height}"
-            )
-        arr = np.asarray(self.pixels)
-        if arr.ndim == 2 and arr.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel grid shape {arr.shape} does not match {self.height}x{self.width}"
-            )
-        if arr.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} pixels, got {arr.size}"
-            )
+    def __new__(cls, width: int, height: int, pixels: np.ndarray, frame_index: int = 0):
+        if width < 2 or height < 2 or width % 2 or height % 2:
+            raise ValueError(f"frame dimensions must be even and >= 2, got {width}x{height}")
+        arr = np.asarray(pixels)
+        if arr.ndim == 2 and arr.shape != (height, width):
+            raise ValueError(f"pixel grid shape {arr.shape} does not match {height}x{width}")
+        if arr.size != width * height:
+            raise ValueError(f"expected {width * height} pixels, got {arr.size}")
         # unsigned values of up to 16 bits, in either byte order, are all in
         # range; a dtype test costs far less than a scan of the values
         if not (arr.dtype.kind == "u" and arr.dtype.itemsize <= 2):
             if arr.size and (int(arr.min()) < 0 or int(arr.max()) > MAX_COUNT):
                 raise ValueError(f"pixel values must be within 0..{MAX_COUNT}")
         # the one copy: the frame never shares its pixels with the caller
-        arr = arr.astype(np.uint16, order="C").reshape(self.height, self.width)
+        arr = arr.astype(np.uint16, order="C").reshape(height, width)
         arr.setflags(write=False)
-        object.__setattr__(self, "pixels", arr)
+        return super().__new__(cls, width, height, arr, frame_index)
+
+    def __eq__(self, other: object) -> bool:
+        return self is other
 
 
 def abs_diff(a: ThermalFrame, b: ThermalFrame) -> np.ndarray:

@@ -15,18 +15,19 @@ are therefore ignored after the first frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .frame import MAX_COUNT, ThermalFrame, abs_diff
+from .frame import MAX_COUNT, CheckedRecord, ThermalFrame, abs_diff
 
 
-@dataclass(frozen=True)
-class MotionConfig:
+class MotionConfig(CheckedRecord, namedtuple(
+    "MotionConfig", "active_pixel_delta active_fraction max_hold_frames"
+)):
     """Tunables for the movement detector.
 
     active_pixel_delta: per-pixel |frame - background| threshold, in counts,
@@ -39,11 +40,11 @@ class MotionConfig:
         permanently rearranged scene cannot pin the detector positive.
     """
 
-    active_pixel_delta: int = 20
-    active_fraction: float = 0.05
-    max_hold_frames: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, active_pixel_delta: int = 20, active_fraction: float = 0.05,
+                max_hold_frames: int | None = None):
+        self = super().__new__(cls, active_pixel_delta, active_fraction, max_hold_frames)
         # NaN fails every comparison, so these checks reject it
         if not 1 <= self.active_pixel_delta <= MAX_COUNT:
             raise ValueError(f"active_pixel_delta must be a number in 1..{MAX_COUNT}")
@@ -51,11 +52,11 @@ class MotionConfig:
             raise ValueError("active_fraction must be in (0, 1]")
         if not (self.max_hold_frames is None or 1 <= self.max_hold_frames < math.inf):
             raise ValueError("max_hold_frames must be a finite number >= 1 when set")
+        return self
 
 
 class MotionResult(NamedTuple):
-    """Outcome of one detector step. A NamedTuple rather than a frozen
-    dataclass: it is built every frame, and builds in about half the time.
+    """Outcome of one detector step.
 
     `forced_refresh` marks background replacements triggered by
     `max_hold_frames` rather than by a quiet frame.
@@ -68,14 +69,16 @@ class MotionResult(NamedTuple):
     forced_refresh: bool = False
 
 
-@dataclass
 class MotionState:
     """Mutable per-stream detector state. One instance per frame stream;
     not safe for concurrent mutation."""
 
-    config: MotionConfig = MotionConfig()
-    background: ThermalFrame | None = None
-    frames_since_update: int = 0
+    __slots__ = ("config", "background", "frames_since_update")
+
+    def __init__(self, config: MotionConfig = MotionConfig()) -> None:
+        self.config = config
+        self.background: ThermalFrame | None = None
+        self.frames_since_update = 0
 
 
 @lru_cache(maxsize=64, typed=True)

@@ -10,32 +10,32 @@ fall below the ratio everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .frame import MAX_COUNT, ThermalFrame
+from .frame import MAX_COUNT, CheckedRecord, ThermalFrame
 
 
-@dataclass(frozen=True)
-class RoiConfig:
+class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "ratio min_quadrant_mean")):
     """ratio: quadrant mean must exceed ratio * frame mean (strict). Below 4:
         a quadrant mean is at most 4 times the frame mean.
     min_quadrant_mean: absolute floor on the quadrant mean, in counts, at
         most MAX_COUNT. A setting no frame can meet switches method B off."""
 
-    ratio: float = 1.20
-    min_quadrant_mean: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, ratio: float = 1.20, min_quadrant_mean: int = 1):
+        self = super().__new__(cls, ratio, min_quadrant_mean)
         # NaN fails every comparison, so these checks reject it
         if not 1.0 <= self.ratio < 4.0:
             raise ValueError("ratio must be a finite number >= 1.0 and < 4.0")
         if not 0 <= self.min_quadrant_mean <= MAX_COUNT:
             raise ValueError(f"min_quadrant_mean must be a number in 0..{MAX_COUNT}")
+        return self
 
 
 class RoiResult(NamedTuple):

@@ -18,13 +18,14 @@ are rounded to nearest and clamped to 0..65535.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .evaluate import GroundTruthLabel, write_labels
-from .frame import QuadrantId, ThermalFrame, write_pgm
+from .frame import CheckedRecord, QuadrantId, ThermalFrame, write_pgm
 from .keyvalue import read_settings
 
 _MASK64 = (1 << 64) - 1
@@ -35,8 +36,7 @@ class SceneError(ValueError):
     """Raised for invalid scene specifications or scene files."""
 
 
-@dataclass(frozen=True)
-class BlobSpec:
+class BlobSpec(CheckedRecord, namedtuple("BlobSpec", "amplitude sigma path is_human")):
     """One Gaussian heat source.
 
     `path` holds (frame_index, center_x, center_y) waypoints with linear
@@ -46,12 +46,11 @@ class BlobSpec:
     view); only the in-frame Gaussian tail is rendered.
     """
 
-    amplitude: float
-    sigma: float
-    path: tuple[tuple[int, float, float], ...]
-    is_human: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, amplitude: float, sigma: float,
+                path: tuple[tuple[int, float, float], ...], is_human: bool = True):
+        self = super().__new__(cls, amplitude, sigma, path, is_human)
         # NaN slips through every check below, and neither NaN nor infinity
         # renders to pixel values
         if not math.isfinite(self.amplitude):
@@ -73,20 +72,19 @@ class BlobSpec:
         times = [t for t, _, _ in self.path]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise SceneError("waypoint frame indices must strictly increase")
+        return self
 
 
-@dataclass(frozen=True)
-class SceneSpec:
-    frames: int
-    width: int = 160
-    height: int = 120
-    ambient: float = 0.0
-    drift_per_frame: float = 0.0
-    noise_sigma: float = 0.0
-    seed: int = 0
-    blobs: tuple[BlobSpec, ...] = ()
+class SceneSpec(CheckedRecord, namedtuple(
+    "SceneSpec", "frames width height ambient drift_per_frame noise_sigma seed blobs"
+)):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, frames: int, width: int = 160, height: int = 120,
+                ambient: float = 0.0, drift_per_frame: float = 0.0,
+                noise_sigma: float = 0.0, seed: int = 0, blobs: tuple[BlobSpec, ...] = ()):
+        self = super().__new__(cls, frames, width, height, ambient, drift_per_frame,
+                               noise_sigma, seed, blobs)
         for name in ("ambient", "drift_per_frame", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise SceneError(f"{name} must be finite")
@@ -96,10 +94,10 @@ class SceneSpec:
             raise SceneError("scene dimensions must be even and >= 2")
         if self.noise_sigma < 0:
             raise SceneError("noise_sigma must be >= 0")
+        return self
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
+class LabeledDataset(NamedTuple):
     directory: Path
     labels_path: Path
     frame_paths: tuple[Path, ...]

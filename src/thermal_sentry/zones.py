@@ -17,11 +17,12 @@ single-frame chatter without adding meaningful reaction delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum, IntEnum
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .frame import QUADRANTS, QuadrantId
+from .frame import QUADRANTS, CheckedRecord, QuadrantId
 from .hybrid import Detection
 from .keyvalue import read_settings
 
@@ -57,8 +58,7 @@ class ZoneEventKind(Enum):
     STATE_CHANGED = "StateChanged"
 
 
-@dataclass(frozen=True)
-class ZoneEvent:
+class ZoneEvent(NamedTuple):
     frame_index: int
     kind: ZoneEventKind
     quadrant: QuadrantId | None = None
@@ -70,17 +70,21 @@ class ZoneConfigError(ValueError):
     """Raised for unparseable zone configuration text."""
 
 
-def _all_ignore() -> dict[QuadrantId, ZoneClass]:
-    return {q: ZoneClass.IGNORE for q in QuadrantId}
+_ALL_IGNORE = MappingProxyType(dict.fromkeys(QUADRANTS, ZoneClass.IGNORE))
 
 
-@dataclass(frozen=True)
-class ZoneConfig:
-    zone_class: Mapping[QuadrantId, ZoneClass] = field(default_factory=_all_ignore)
-    debounce_frames: int = 3
-    clear_frames: int = 3
+class ZoneConfig(
+    CheckedRecord, namedtuple("ZoneConfig", "zone_class debounce_frames clear_frames")
+):
+    """`zone_class` is kept as a read-only copy: a later change to the
+    caller's mapping cannot get past the checks."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, zone_class: Mapping[QuadrantId, ZoneClass] = _ALL_IGNORE,
+                debounce_frames: int = 3, clear_frames: int = 3):
+        zone_class = MappingProxyType(dict(zone_class))
+        self = super().__new__(cls, zone_class, debounce_frames, clear_frames)
         if set(self.zone_class) != set(QuadrantId):
             raise ValueError("zone_class must map every quadrant")
         # a plain "critical" string would never demand Stop
@@ -91,21 +95,20 @@ class ZoneConfig:
             raise ValueError("debounce_frames must be a finite number >= 1")
         if not 1 <= self.clear_frames < math.inf:
             raise ValueError("clear_frames must be a finite number >= 1")
+        return self
 
 
-@dataclass
 class ZoneState:
     """Mutable per-stream occupancy and state-machine memory."""
 
-    state: SafetyState = SafetyState.RUN
-    flag_streak: dict[QuadrantId, int] = field(
-        default_factory=lambda: {q: 0 for q in QuadrantId}
-    )
-    clear_streak: dict[QuadrantId, int] = field(
-        default_factory=lambda: {q: 0 for q in QuadrantId}
-    )
-    occupied: set[QuadrantId] = field(default_factory=set)
-    unlocalized_hold: int = 0
+    __slots__ = ("state", "flag_streak", "clear_streak", "occupied", "unlocalized_hold")
+
+    def __init__(self) -> None:
+        self.state = SafetyState.RUN
+        self.flag_streak = dict.fromkeys(QUADRANTS, 0)
+        self.clear_streak = dict.fromkeys(QUADRANTS, 0)
+        self.occupied: set[QuadrantId] = set()
+        self.unlocalized_hold = 0
 
 
 def zone_update(

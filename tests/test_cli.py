@@ -742,8 +742,23 @@ class TestImports:
         assert code == "0"
         assert '"event": "StateChanged"' in run.stdout  # the zone-event line ran
         assert "thermal_sentry.zones" in added
-        loaded = {"thermal_sentry.evaluate", "thermal_sentry.synth", "csv", "json"} & set(added)
-        assert not loaded
+        unused = {"thermal_sentry.evaluate", "thermal_sentry.synth", "csv", "json",
+                  "dataclasses"}
+        assert not unused & set(added)
+
+    def test_no_module_loads_dataclasses(self):
+        # numpy does not load dataclasses, so a load would come from the
+        # package, and each dataclass compiles its methods at every start
+        probe = (
+            "import sys, importlib, pkgutil, numpy, thermal_sentry\n"
+            "for info in pkgutil.iter_modules(thermal_sentry.__path__):\n"
+            "    importlib.import_module('thermal_sentry.' + info.name)\n"
+            "print('thermal_sentry.synth' in sys.modules, 'dataclasses' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(thermal_sentry.__file__))
+        run = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert run.stdout.split() == ["True", "False"]
 
     def test_eval_and_synth_call_the_module_attributes(self, tmp_path, capsys, monkeypatch):
         # the benchmark traces cli.run_eval and cli.generate by replacing

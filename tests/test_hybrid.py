@@ -1,13 +1,20 @@
 import inspect
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from thermal_sentry.evaluate import (
+    ConfusionMatrix, EvalReport, GroundTruthLabel, LatencyStats, Method)
 from thermal_sentry.frame import QuadrantId, ThermalFrame, write_pgm
 from thermal_sentry.hybrid import Detection, hybrid_step
 from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
 from thermal_sentry.roi import RoiConfig, RoiResult, roi_analyze
+from thermal_sentry.synth import BlobSpec, LabeledDataset, SceneError, SceneSpec
+from thermal_sentry.zones import SafetyState, ZoneClass, ZoneConfig, ZoneEvent, ZoneEventKind
 from thermal_sentry.cli import main
 from conftest import make_frame, uniform_frame
 
@@ -132,47 +139,177 @@ class TestUnionProperty:
         assert all(d.elapsed_us > 0 for d in dets)
 
 
-# Each per-frame result record with its field names in order and one set of
-# values for them.
+# Each record with its field names in order, one set of values for them and
+# the same values with one field changed: the per-frame results, the configs
+# and the records of evaluation and synthesis.
 _MOTION = (True, 1000, 960, False, False)
 _ROI = (70.5, tuple(70.5 + q for q in QuadrantId), tuple(q == 3 for q in QuadrantId), True)
+_ZONES = {q: ZoneClass.WARNING for q in QuadrantId}
+_EVENT = (9, ZoneEventKind.STATE_CHANGED, None, SafetyState.RUN, SafetyState.STOP)
+_REPORT = ({Method.HYBRID: ConfusionMatrix(5, 1, 2, 8)}, {Method.HYBRID: 81.25},
+           {Method.HYBRID: LatencyStats(40.0, 12.5, 35.0)}, 16)
+_BLOB = (300.0, 4.0, ((0, 10.0, 20.0), (9, 30.0, 20.0)), False)
+_SCENE = (12, 32, 24, 100.0, 0.5, 2.0, 7, (BlobSpec(*_BLOB),))
+_DATASET = (Path("ds"), Path("ds/labels.csv"), (Path("ds/frame_000000.pgm"),),
+            (GroundTruthLabel(0, False),))
 RECORDS = [
     (MotionResult, ("movement", "active_count", "required_count",
-                    "background_updated", "forced_refresh"), _MOTION),
-    (RoiResult, ("frame_mean", "quadrant_means", "flags", "any"), _ROI),
+                    "background_updated", "forced_refresh"), _MOTION,
+     (False,) + _MOTION[1:]),
+    (RoiResult, ("frame_mean", "quadrant_means", "flags", "any"), _ROI, (71.5,) + _ROI[1:]),
     (Detection, ("frame_index", "verdict", "elapsed_us", "motion", "roi"),
-     (4, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI))),
+     (4, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI)),
+     (5, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI))),
+    (MotionConfig, ("active_pixel_delta", "active_fraction", "max_hold_frames"),
+     (25, 0.1, 7), (25, 0.1, 8)),
+    (RoiConfig, ("ratio", "min_quadrant_mean"), (1.5, 10), (1.5, 11)),
+    (ZoneConfig, ("zone_class", "debounce_frames", "clear_frames"), (_ZONES, 2, 4),
+     (_ZONES, 2, 5)),
+    (ZoneEvent, ("frame_index", "kind", "quadrant", "from_state", "to_state"), _EVENT,
+     (10,) + _EVENT[1:]),
+    (ConfusionMatrix, ("tp", "fp", "fn", "tn"), (5, 1, 2, 8), (5, 1, 2, 9)),
+    (GroundTruthLabel, ("frame_index", "human_present", "occupied_quadrants"),
+     (3, True, frozenset({QuadrantId.Q1})), (3, True, frozenset())),
+    (LatencyStats, ("max_us", "mean_us", "p99_us"), (40.0, 12.5, 35.0), (40.0, 12.5, 36.0)),
+    (EvalReport, ("matrices", "accuracies", "latency", "frames_evaluated"), _REPORT,
+     _REPORT[:3] + (17,)),
+    (BlobSpec, ("amplitude", "sigma", "path", "is_human"), _BLOB, _BLOB[:3] + (True,)),
+    (SceneSpec, ("frames", "width", "height", "ambient", "drift_per_frame", "noise_sigma",
+                 "seed", "blobs"), _SCENE, _SCENE[:6] + (8,) + _SCENE[7:]),
+    (LabeledDataset, ("directory", "labels_path", "frame_paths", "labels"), _DATASET,
+     (Path("other"),) + _DATASET[1:]),
 ]
 
 
-@pytest.mark.parametrize("record, names, values", RECORDS,
-                         ids=[record.__name__ for record, _, _ in RECORDS])
+@pytest.mark.parametrize("record, names, values, changed", RECORDS,
+                         ids=[record.__name__ for record, *_ in RECORDS])
 class TestResultRecords:
-    """The contract of the records the detectors return, whatever class
-    implements them: the tests, the benchmark and callers build and read
-    them by position and by name."""
+    """The contract of the records the package returns and takes, whatever
+    class implements them: the tests, the benchmark and callers build and
+    read them by position and by name."""
 
-    def test_field_names_in_order(self, record, names, values):
+    def test_field_names_in_order(self, record, names, values, changed):
         assert tuple(inspect.signature(record).parameters) == names
 
-    def test_positional_construction(self, record, names, values):
+    def test_positional_construction(self, record, names, values, changed):
         built = record(*values)
         assert tuple(getattr(built, name) for name in names) == values
         assert built == record(**dict(zip(names, values)))
 
-    def test_fields_cannot_be_assigned(self, record, names, values):
+    def test_fields_cannot_be_assigned(self, record, names, values, changed):
         built = record(*values)
         for name, value in zip(names, values):
             with pytest.raises(AttributeError):
                 setattr(built, name, value)
         assert tuple(getattr(built, name) for name in names) == values
 
-    def test_equal_fields_compare_equal(self, record, names, values):
+    def test_equal_fields_compare_equal(self, record, names, values, changed):
         assert record(*values) == record(*values)
         assert not record(*values) != record(*values)
-        changed = (not values[0],) + values[1:] if record is MotionResult else (
-            (values[0] + 1,) + values[1:])
         assert record(*values) != record(*changed)
+
+    def test_replace_changes_one_field(self, record, names, values, changed):
+        [(name, value)] = [(n, c) for n, v, c in zip(names, values, changed) if v != c]
+        assert record(*values)._replace(**{name: value}) == record(*changed)
+
+
+# the configs the command line builds one field at a time (`cli._checked`)
+@pytest.mark.parametrize("record, names, values, changed", RECORDS[3:6],
+                         ids=[record.__name__ for record, *_ in RECORDS[3:6]])
+def test_config_field_by_keyword(record, names, values, changed):
+    default = record()
+    for name, value in zip(names, values):
+        built = record(**{name: value})
+        assert [getattr(built, n) for n in names] == [
+            value if n == name else getattr(default, n) for n in names]
+
+
+_GRID = np.zeros((12, 16), dtype=np.uint16)
+# each checked record built from values its checks reject: the keyword
+# arguments, and the error with its message, which callers print
+INVALID = [
+    (ThermalFrame, dict(width=3), ValueError, "frame dimensions must be even and >= 2, got 3x12"),
+    (ThermalFrame, dict(height=2), ValueError, "pixel grid shape (12, 16) does not match 2x16"),
+    (ThermalFrame, dict(pixels=np.zeros(3)), ValueError, "expected 192 pixels, got 3"),
+    (ThermalFrame, dict(pixels=_GRID - 1.0), ValueError, "pixel values must be within 0..65535"),
+    (MotionConfig, dict(active_pixel_delta=0),
+     ValueError, "active_pixel_delta must be a number in 1..65535"),
+    (MotionConfig, dict(active_fraction=0.0), ValueError, "active_fraction must be in (0, 1]"),
+    (MotionConfig, dict(max_hold_frames=0),
+     ValueError, "max_hold_frames must be a finite number >= 1 when set"),
+    (RoiConfig, dict(ratio=4.0), ValueError, "ratio must be a finite number >= 1.0 and < 4.0"),
+    (RoiConfig, dict(min_quadrant_mean=-1),
+     ValueError, "min_quadrant_mean must be a number in 0..65535"),
+    (ZoneConfig, dict(zone_class={QuadrantId.Q0: ZoneClass.IGNORE}),
+     ValueError, "zone_class must map every quadrant"),
+    (ZoneConfig, dict(zone_class={q: "critical" for q in QuadrantId}),
+     ValueError, "zone_class values must be ZoneClass members"),
+    (ZoneConfig, dict(debounce_frames=0),
+     ValueError, "debounce_frames must be a finite number >= 1"),
+    (ZoneConfig, dict(clear_frames=0), ValueError, "clear_frames must be a finite number >= 1"),
+    (ConfusionMatrix, dict(fn=-1), ValueError, "confusion counts must be non-negative"),
+    (GroundTruthLabel, dict(human_present=False),
+     ValueError, "occupied quadrants require human_present"),
+    (BlobSpec, dict(amplitude=0.0), SceneError, "blob amplitude must be positive"),
+    (BlobSpec, dict(path=()), SceneError, "blob path needs at least one waypoint"),
+    (SceneSpec, dict(frames=0), SceneError, "scene needs at least one frame"),
+    (SceneSpec, dict(width=3), SceneError, "scene dimensions must be even and >= 2"),
+    (SceneSpec, dict(noise_sigma=math.nan), SceneError, "noise_sigma must be finite"),
+]
+VALID = {record: values for record, _, values, _ in RECORDS}
+VALID[ThermalFrame] = (16, 12, _GRID, 0)
+
+
+@pytest.mark.parametrize("record, fields, error, message", INVALID,
+                         ids=[f"{r.__name__}-{'-'.join(f)}" for r, f, _, _ in INVALID])
+class TestRecordChecks:
+    def test_construction_is_checked(self, record, fields, error, message):
+        arguments = dict(zip(inspect.signature(record).parameters, VALID[record]))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            record(**{**arguments, **fields})
+
+    def test_replace_is_checked(self, record, fields, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            record(*VALID[record])._replace(**fields)
+
+
+class TestFrameRecord:
+    def frame(self, value=7, frame_index=0):
+        return ThermalFrame(16, 12, np.full((12, 16), value, dtype=np.uint16), frame_index)
+
+    def test_construction_by_position_and_keyword(self):
+        a = self.frame(frame_index=3)
+        b = ThermalFrame(width=16, height=12, pixels=np.full(192, 7), frame_index=3)
+        for frame in (a, b):
+            assert (frame.width, frame.height, frame.frame_index) == (16, 12, 3)
+            assert frame.pixels.dtype == np.uint16 and frame.pixels.shape == (12, 16)
+        assert np.array_equal(a.pixels, b.pixels)
+        assert tuple(inspect.signature(ThermalFrame).parameters) == (
+            "width", "height", "pixels", "frame_index")
+
+    def test_fields_cannot_be_assigned(self):
+        frame = self.frame()
+        for name in ("width", "height", "pixels", "frame_index"):
+            with pytest.raises(AttributeError):
+                setattr(frame, name, getattr(frame, name))
+        with pytest.raises(ValueError):
+            frame.pixels[0, 0] = 1
+
+    def test_frames_compare_and_hash_by_identity(self):
+        a, b = self.frame(), self.frame()
+        assert a == a and not a != a
+        assert a != b and not a == b  # equal pixels, still two frames
+        assert hash(a) == object.__hash__(a) and len({a, b, a}) == 2
+        # == never compares the pixel arrays, which would raise
+        plain = (16, 12, np.full((12, 16), 7, dtype=np.uint16), 0)
+        assert a != plain and plain != a and a not in [plain, None, 0]
+
+    def test_replace_copies_through_the_checks(self):
+        source = np.full((12, 16), 7, dtype=np.uint16)
+        frame = self.frame()._replace(pixels=source, frame_index=5)
+        assert frame.frame_index == 5 and not frame.pixels.flags.writeable
+        source[0, 0] = 9
+        assert frame.pixels[0, 0] == 7
 
 
 def test_forced_refresh_defaults_to_false():

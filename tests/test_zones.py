@@ -60,6 +60,24 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             ZoneConfig(**{field: value})
 
+    def test_keeps_its_own_copy_of_the_zone_classes(self):
+        classes = {q: ZoneClass.IGNORE for q in QuadrantId}
+        config = ZoneConfig(classes, debounce_frames=1)
+        # a value the checks would have rejected, put in after they ran
+        classes[QuadrantId.Q3] = "critical"
+        assert config.zone_class[QuadrantId.Q3] is ZoneClass.IGNORE
+        safety, _ = zone_update(ZoneState(), detection(0, {QuadrantId.Q3}), config)
+        assert safety is SafetyState.RUN
+        with pytest.raises(TypeError):
+            config.zone_class[QuadrantId.Q3] = ZoneClass.CRITICAL
+
+    def test_each_state_starts_fresh(self):
+        first, second = ZoneState(), ZoneState()
+        zone_update(first, detection(0, {QuadrantId.Q0}), critical_q3(debounce=1))
+        assert first.occupied == {QuadrantId.Q0} and first.flag_streak[QuadrantId.Q0] == 1
+        assert second.occupied == set() and set(second.flag_streak.values()) == {0}
+        assert set(second.clear_streak.values()) == {0}
+
 
 class TestParse:
     def test_partial_assignment_defaults_to_ignore(self):

@@ -201,7 +201,7 @@ def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
 def _parse_file(path: str, parse):
     """`parse` of the file's text, with the file named in its errors."""
     try:
-        return parse(Path(path).read_text())
+        return parse(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -279,8 +279,8 @@ def _open_out(path: str):
         else:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            return os.fdopen(fd, "w"), temp
-    return open(path, "w"), None
+            return os.fdopen(fd, "w", encoding="utf-8"), temp
+    return open(path, "w", encoding="utf-8"), None
 
 
 def cmd_detect(args) -> int:
@@ -369,7 +369,8 @@ def cmd_eval(args) -> int:
     if args.out:
         import json
 
-        Path(args.out).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+        Path(args.out).write_text(json.dumps(report_to_dict(report), indent=2) + "\n",
+                                  encoding="utf-8")
     return EXIT_OK
 
 

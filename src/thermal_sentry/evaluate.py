@@ -76,7 +76,7 @@ class LatencyStats(NamedTuple):
     p99_us: float
 
     @classmethod
-    def from_samples(cls, samples: Sequence[float]) -> "LatencyStats":
+    def from_samples(cls, samples: Sequence[float] | np.ndarray) -> "LatencyStats":
         arr = np.asarray(samples, dtype=np.float64)
         if arr.size == 0:
             raise ValueError("no latency samples")
@@ -117,10 +117,18 @@ def confusion(
     return ConfusionMatrix(tp, fp, fn, tn)
 
 
+_PRESENT = {"1": True, "true": True, "0": False, "false": False}
+
+
 def read_labels(path: str | Path) -> list[GroundTruthLabel]:
-    """Read a `frame,present,quadrants` CSV (quadrants `;`-separated)."""
+    """Read a `frame,present,quadrants` CSV (quadrants `;`-separated).
+
+    A file holds few distinct `present` and `quadrants` fields, so each is
+    parsed once, on the first line that holds it: the line a bad field's
+    error names.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, not UTF-8
@@ -128,40 +136,46 @@ def read_labels(path: str | Path) -> list[GroundTruthLabel]:
     if not rows or [c.strip().lower() for c in rows[0]] != ["frame", "present", "quadrants"]:
         raise DatasetError(f"{path}: expected header 'frame,present,quadrants'")
     labels: list[GroundTruthLabel] = []
+    presents: dict[str, bool] = {}
+    quadrant_sets: dict[str, frozenset[QuadrantId]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != 3:
             raise DatasetError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        frame_field, present_field, quadrants_field = (c.strip() for c in row)
+        frame_field, present_field, quadrants_field = row
+        frame_field = frame_field.strip()
         try:
             index = int(frame_field)
         except ValueError:
             raise DatasetError(f"{path}:{lineno}: bad frame index {frame_field!r}") from None
-        present_norm = present_field.lower()
-        if present_norm in ("1", "true"):
-            present = True
-        elif present_norm in ("0", "false"):
-            present = False
-        else:
-            raise DatasetError(f"{path}:{lineno}: bad present value {present_field!r}")
-        quadrants = set()
-        for name in filter(None, (q.strip() for q in quadrants_field.split(";"))):
-            try:
-                quadrants.add(QuadrantId[name.upper()])
-            except KeyError:
-                raise DatasetError(f"{path}:{lineno}: unknown quadrant {name!r}") from None
+        present = presents.get(present_field)
+        if present is None:
+            text = present_field.strip()
+            present = _PRESENT.get(text.lower())
+            if present is None:
+                raise DatasetError(f"{path}:{lineno}: bad present value {text!r}")
+            presents[present_field] = present
+        quadrants = quadrant_sets.get(quadrants_field)
+        if quadrants is None:
+            occupied = set()
+            for name in filter(None, (q.strip() for q in quadrants_field.split(";"))):
+                try:
+                    occupied.add(QuadrantId[name.upper()])
+                except KeyError:
+                    raise DatasetError(f"{path}:{lineno}: unknown quadrant {name!r}") from None
+            quadrants = quadrant_sets[quadrants_field] = frozenset(occupied)
         if labels and index <= labels[-1].frame_index:
             raise DatasetError(f"{path}:{lineno}: frame indices must increase")
         try:
-            labels.append(GroundTruthLabel(index, present, frozenset(quadrants)))
+            labels.append(GroundTruthLabel(index, present, quadrants))
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from None
     return labels
 
 
 def write_labels(labels: Iterable[GroundTruthLabel], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["frame", "present", "quadrants"])
         for label in labels:
@@ -184,9 +198,10 @@ def run_eval(
     """
     labels = read_labels(labels_path)
     state = MotionState(motion_config)
-    # one list per Method, in Method order
-    preds = a_preds, b_preds, hybrid_preds = [], [], []
-    samples = a_us, b_us, hybrid_us = [], [], []
+    clock = time.perf_counter_ns
+    a_preds, b_preds = [], []
+    # three clock readings a frame: before method B, between B and A, after A
+    stamps: list[int] = []
     for count, frame in enumerate(replay_dir(dataset_dir)):
         if count >= len(labels):
             raise DatasetError(f"no label for frame {count}")
@@ -195,18 +210,14 @@ def run_eval(
                 f"label misalignment: expected frame {count}, "
                 f"got {labels[count].frame_index}"
             )
-        t0 = time.perf_counter_ns()
+        t0 = clock()
         roi = roi_analyze(frame, roi_config)
-        t1 = time.perf_counter_ns()
+        t1 = clock()
         motion = motion_step(state, frame)
-        t2 = time.perf_counter_ns()
-        b_us.append((t1 - t0) / 1000.0)
-        a_us.append((t2 - t1) / 1000.0)
-        hybrid_us.append((t2 - t0) / 1000.0)
+        stamps += t0, t1, clock()
         a_preds.append(motion.movement)
         b_preds.append(roi.any)
-        hybrid_preds.append(roi.any or motion.movement)
-    count = len(hybrid_preds)
+    count = len(a_preds)
     if count == 0:
         raise DatasetError(f"{dataset_dir}: dataset contains no frames")
     if count < len(labels):
@@ -214,6 +225,10 @@ def run_eval(
             f"label for frame {labels[count].frame_index} has no frame"
         )
 
+    t0, t1, t2 = np.array(stamps, dtype=np.int64).reshape(count, 3).T
+    # one list and one latency array per Method, in Method order
+    preds = a_preds, b_preds, [a or b for a, b in zip(a_preds, b_preds)]
+    samples = (t2 - t1) / 1000.0, (t1 - t0) / 1000.0, (t2 - t0) / 1000.0
     matrices = {m: confusion(p, labels) for m, p in zip(Method, preds)}
     return EvalReport(
         matrices=matrices,

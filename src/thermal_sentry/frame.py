@@ -166,17 +166,14 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
                 f"{path}: expected {count * itemsize} payload bytes, "
                 f"got {len(data) - pos - 1}"
             )
-        # left unconverted: ThermalFrame's conversion to uint16 is the copy
-        # the frame keeps
-        values = np.frombuffer(data, dtype=np.uint8, offset=pos + 1)
-        if itemsize == 2:
-            # The payload starts right after the header, at an odd offset
-            # for the usual `P5\nW H\n65535\n`. numpy's byte-swapping cast
-            # from an unaligned buffer is several times slower than from an
-            # aligned one, and at 640x480 it made `detect` take ten times the
-            # minor page faults per frame. A fresh array is aligned, so the
-            # bytes are copied before the cast.
-            values = values.copy().view(">u2")
+        # The payload starts right after the header, at an odd offset for
+        # the usual `P5\nW H\n65535\n`. numpy's byte-swapping cast from an
+        # unaligned buffer is several times slower than from an aligned one,
+        # and at 640x480 it made `detect` take ten times the minor page
+        # faults per frame. A fresh bytes object's data is aligned, so the
+        # payload is sliced off. It is left unconverted: ThermalFrame's
+        # conversion to uint16 is the copy the frame keeps.
+        values = np.frombuffer(data[pos + 1 :], dtype=">u2" if itemsize == 2 else np.uint8)
     else:
         text = re.sub(rb"#[^\n]*", b"", data[pos:])
         if not _P2_SAMPLES.fullmatch(text):

@@ -122,10 +122,4 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
             state.frames_since_update = 0
             forced = True
 
-    return MotionResult(
-        movement=movement,
-        active_count=active,
-        required_count=required,
-        background_updated=not movement or forced,
-        forced_refresh=forced,
-    )
+    return MotionResult(movement, active, required, not movement or forced, forced)

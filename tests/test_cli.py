@@ -780,6 +780,51 @@ class TestImports:
         assert calls == ["generate", "run_eval"]
 
 
+def run_module(env, *args):
+    """`python ARGS` in a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(thermal_sentry.__file__))
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True)
+
+
+class TestTextEncoding:
+    # text files are UTF-8 whatever the locale; this locale's own encoding
+    # is ASCII
+    ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+    def test_non_ascii_comments_are_read_in_an_ascii_locale(self, tmp_path):
+        scene = tmp_path / "crossing.scene"
+        scene.write_text("# Szene für den Test" + CROSSING_SCENE, encoding="utf-8")
+        zones_file = tmp_path / "zones.cfg"
+        zones_file.write_text("# Zone für den Roboter\nQ3=critical\n", encoding="utf-8")
+        config = tmp_path / "sentry.conf"
+        config.write_text("# Schwelle für Bewegung\nactive_delta=10\n", encoding="utf-8")
+        data = tmp_path / "crossing"
+        run = run_module(self.ASCII_LOCALE, "-m", "thermal_sentry.cli", "synth",
+                         "--scene", str(scene), "--out-dir", str(data))
+        assert (run.returncode, run.stderr) == (0, "")
+        run = run_module(self.ASCII_LOCALE, "-m", "thermal_sentry.cli", "--config", str(config),
+                         "detect", "--input-dir", str(data), "--zones", str(zones_file))
+        assert (run.returncode, run.stderr) == (0, "")
+        assert '"event": "StateChanged"' in run.stdout  # the zone file was applied
+
+    def test_no_command_opens_a_text_file_in_the_locale_encoding(self, tmp_path):
+        strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                  "-m", "thermal_sentry.cli")
+        scene = tmp_path / "crossing.scene"
+        scene.write_text(CROSSING_SCENE, encoding="utf-8")
+        data = tmp_path / "crossing"
+        runs = [
+            run_module({}, *strict, "synth", "--scene", str(scene), "--out-dir", str(data)),
+            run_module({}, *strict, "detect", "--input-dir", str(data),
+                       "--out", str(tmp_path / "detections.ndjson")),
+            run_module({}, *strict, "eval", "--input-dir", str(data),
+                       "--labels", str(data / "labels.csv"), "--out", str(tmp_path / "r.json")),
+        ]
+        assert [(run.returncode, run.stderr) for run in runs] == [(0, "")] * 3
+        assert (tmp_path / "detections.ndjson").read_text(encoding="utf-8").count('"verdict"') == 20
+
+
 class TestConfigFile:
     def test_config_file_sets_defaults(self, tmp_path, capsys, monkeypatch):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)

@@ -1,11 +1,16 @@
+import itertools
 from collections import Counter
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from thermal_sentry import evaluate
 from thermal_sentry.evaluate import (
     ConfusionMatrix,
     DatasetError,
     GroundTruthLabel,
+    LatencyStats,
     Method,
     accuracy,
     confusion,
@@ -255,6 +260,43 @@ class TestRunEvalLoop:
         assert a.mean_us >= 0 and b.mean_us >= 0
         assert report.latency[Method.HYBRID].mean_us == pytest.approx(
             a.mean_us + b.mean_us, rel=1e-9)
+
+
+class TestRunEvalLatency:
+    def test_stats_are_those_of_the_per_frame_microseconds(
+            self, static_human_dataset, monkeypatch):
+        # a clock far from zero, as perf_counter_ns may be, whose steps vary
+        steps = itertools.cycle([1_234, 56_789, 3_001, 999_999, 17, 250_000, 8])
+        readings = []
+
+        def clock():
+            readings.append((readings[-1] if readings else 10**15) + next(steps))
+            return readings[-1]
+
+        monkeypatch.setattr(evaluate, "time", SimpleNamespace(perf_counter_ns=clock))
+        ds = static_human_dataset
+        report = run_eval(ds.directory, ds.labels_path)
+        assert len(readings) == 3 * report.frames_evaluated == 120
+        # one list per Method, each sample computed as a Python int divided
+        # by a float
+        lists = {m: [] for m in Method}
+        for t0, t1, t2 in zip(*[iter(readings)] * 3):
+            lists[Method.METHOD_B].append((t1 - t0) / 1000.0)
+            lists[Method.METHOD_A].append((t2 - t1) / 1000.0)
+            lists[Method.HYBRID].append((t2 - t0) / 1000.0)
+        for method, samples in lists.items():
+            stats = report.latency[method]
+            assert stats.max_us == max(samples)
+            assert stats.mean_us == float(np.mean(samples))
+            assert stats.p99_us == float(np.percentile(samples, 99))
+        assert report.latency[Method.METHOD_A].max_us == 999.999
+
+    def test_from_samples_gives_the_same_stats_from_a_list_and_an_array(self):
+        samples = [(t1 - t0) / 1000.0 for t0, t1 in [
+            (10**15, 10**15 + 1_234), (5, 56_794), (0, 3_001), (7, 1_000_006), (1, 18)]]
+        from_list = LatencyStats.from_samples(samples)
+        assert LatencyStats.from_samples(np.array(samples)) == from_list
+        assert from_list == (999.999, float(np.mean(samples)), float(np.percentile(samples, 99)))
 
 
 class TestReportRendering:

@@ -142,6 +142,23 @@ class TestPgm:
         back = load_pgm(path)
         assert np.array_equal(back.pixels, frame.pixels)
 
+    def test_16bit_payload_reaches_the_frame_aligned(self, tmp_path, monkeypatch):
+        # numpy's byte-swapping cast is several times slower from an
+        # unaligned buffer; this 13-byte header puts the payload at an odd
+        # offset of the file
+        header = b"P5\n2 2\n65535\n"
+        seen = []
+
+        def spy(width, height, pixels, frame_index):
+            seen.append((pixels.dtype.str, pixels.flags.aligned))
+            return ThermalFrame(width, height, pixels, frame_index)
+
+        monkeypatch.setattr(frame_module, "ThermalFrame", spy)
+        path = tmp_path / "odd.pgm"
+        path.write_bytes(header + struct.pack(">4H", 40000, 1, 258, 65535))
+        assert load_pgm(path).pixels.tolist() == [[40000, 1], [258, 65535]]
+        assert seen == [(">u2", True)]
+
     @settings(max_examples=40, deadline=None)
     @given(frame=frames())
     def test_round_trip_property(self, frame, tmp_path_factory):

@@ -11,13 +11,16 @@ scene excepted): a later line that silently overrides an earlier one is an
 error nobody sees.
 """
 
+import csv
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermal_sentry.cli import _CONFIG_KEYS, _parse_file, parse_config
 from thermal_sentry.evaluate import DatasetError, GroundTruthLabel, read_labels
+from thermal_sentry.frame import QuadrantId
 from thermal_sentry.synth import SceneError, SceneSpec, parse_scene
 from thermal_sentry.zones import ZoneConfig, ZoneConfigError, parse_zone_config
 
@@ -65,7 +68,7 @@ class TestConfigReader:
     @example(text="active_delta=5\nactive-delta=50")
     def test_returns_settings_or_value_error(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("config") / "sentry.conf"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         try:
             settings_ = _parse_file(str(path), parse_config)
         except ValueError as exc:
@@ -73,7 +76,7 @@ class TestConfigReader:
             assert str(exc).startswith(f"{path}: line ")
             return
         assert set(settings_) <= set(_CONFIG_KEYS)
-        assert not repeats_a_key(path.read_text())
+        assert not repeats_a_key(path.read_text(encoding="utf-8"))
 
 
 class TestZoneReader:
@@ -148,7 +151,7 @@ class TestLabelsReader:
     @example(header="frame,present,quadrants", body="0,1," + "Q0;" * 50_000)
     def test_returns_labels_or_dataset_error(self, tmp_path_factory, header, body):
         path = tmp_path_factory.mktemp("labels") / "labels.csv"
-        path.write_text(header + "\n" + body)
+        path.write_text(header + "\n" + body, encoding="utf-8")
         try:
             labels = read_labels(path)
         except DatasetError as exc:
@@ -158,3 +161,82 @@ class TestLabelsReader:
         indices = [label.frame_index for label in labels]
         assert indices == sorted(set(indices))
 
+    # Files for the oracle: most rows carry their own row number as the frame
+    # index, so a file gets past its first rows and repeats fields, bad ones
+    # too, on later lines. Padded spellings reach the same value by another
+    # field text, and "\x1f7" is a frame index only once stripped.
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.none(), st.none(), st.none(), st.just("\x1f7"), numbers),
+        st.sampled_from(["0", "1", "true", "False", " TRUE ", "1 ", "yes", ""]),
+        st.lists(st.sampled_from(["Q0", "q1", " Q2", "Q3 ", "Q4", "", " "]), max_size=3)
+        .map(";".join),
+    ), max_size=12))
+    def test_matches_a_per_row_parse(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("labels") / "labels.csv"
+        path.write_text("frame,present,quadrants\n" + "\n".join(
+            ",".join((str(n) if frame is None else frame, present, quadrants))
+            for n, (frame, present, quadrants) in enumerate(rows)
+        ), encoding="utf-8")
+        try:
+            expected = per_row_labels(path)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as caught:
+                read_labels(path)
+            assert str(caught.value) == str(exc)
+            return
+        assert read_labels(path) == expected
+
+    def test_a_repeated_bad_field_names_its_first_line(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("frame,present,quadrants\n0,1,Q7\n1,0,\n2,1,Q7\n")
+        with pytest.raises(DatasetError) as caught:
+            read_labels(path)
+        assert str(caught.value) == f"{path}:2: unknown quadrant 'Q7'"
+
+    def test_a_quadrant_field_seen_before_is_checked_against_its_row(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("frame,present,quadrants\n0,1,Q0\n1,0,Q0\n")
+        with pytest.raises(DatasetError) as caught:
+            read_labels(path)
+        assert str(caught.value) == f"{path}:3: occupied quadrants require human_present"
+
+
+def per_row_labels(path):
+    """The labels reader as a plain parse of each row, with nothing kept
+    from one row to the next: the oracle for `read_labels`."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:  # a NUL before Python 3.11
+            raise DatasetError(f"{path}: {exc}") from None
+    labels = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DatasetError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+        frame_field, present_field, quadrants_field = (c.strip() for c in row)
+        try:
+            index = int(frame_field)
+        except ValueError:
+            raise DatasetError(f"{path}:{lineno}: bad frame index {frame_field!r}") from None
+        if present_field.lower() in ("1", "true"):
+            present = True
+        elif present_field.lower() in ("0", "false"):
+            present = False
+        else:
+            raise DatasetError(f"{path}:{lineno}: bad present value {present_field!r}")
+        quadrants = set()
+        for name in filter(None, (q.strip() for q in quadrants_field.split(";"))):
+            try:
+                quadrants.add(QuadrantId[name.upper()])
+            except KeyError:
+                raise DatasetError(f"{path}:{lineno}: unknown quadrant {name!r}") from None
+        if labels and index <= labels[-1].frame_index:
+            raise DatasetError(f"{path}:{lineno}: frame indices must increase")
+        try:
+            labels.append(GroundTruthLabel(index, present, frozenset(quadrants)))
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+    return labels

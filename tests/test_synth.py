@@ -451,7 +451,7 @@ blob=250,5,object,0:130:20
         assert len(spec.blobs) == 2
 
     def test_readme_example_parses(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("**Scene files**", 1)[1]
         block = section.split("```\n", 2)[1]
         spec = parse_scene(block)

@@ -18,11 +18,11 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .frame import replay_dir, replay_files
-from .hybrid import hybrid_step
+from .hybrid import Detection, hybrid_step
 from .keyvalue import read_settings
 from .motion import MotionConfig, MotionState
 from .roi import RoiConfig
-from .zones import ZoneConfig, ZoneEvent, ZoneState, parse_zone_config, zone_update
+from .zones import SafetyState, ZoneConfig, ZoneEvent, ZoneState, parse_zone_config, zone_update
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,7 +153,7 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     )
     p_detect.add_argument("frames", nargs="*", metavar="FRAME.pgm",
                           help="individual frame files, in order")
-    p_detect.add_argument("--input-dir", metavar="DIR",
+    p_detect.add_argument("--input-dir", metavar="DIR", type=_file,
                           help="directory of PGM frames (lexicographic order)")
     p_detect.add_argument("--zones", metavar="FILE", type=_file, help="zone configuration file")
     p_detect.add_argument("--out", metavar="FILE", type=_file,
@@ -163,8 +163,8 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_eval = sub.add_parser(
         "eval", parents=[detector], help="score a labeled dataset (three confusion matrices)"
     )
-    p_eval.add_argument("--input-dir", metavar="DIR", help="directory of PGM frames")
-    p_eval.add_argument("--labels", metavar="FILE", help="ground-truth CSV")
+    p_eval.add_argument("--input-dir", metavar="DIR", type=_file, help="directory of PGM frames")
+    p_eval.add_argument("--labels", metavar="FILE", type=_file, help="ground-truth CSV")
     p_eval.add_argument("--cells", metavar="TP,FP,FN,TN",
                         help="score an explicit confusion matrix instead of a dataset")
     p_eval.add_argument("--out", metavar="FILE", type=_file,
@@ -218,26 +218,17 @@ def _decimal3(x: float) -> str:
     return float.__repr__(round(x, 3))
 
 
-def record_line(
-    frame: int,
-    verdict: bool,
-    movement: bool,
-    active_count: int,
-    quadrant_means: tuple[float, float, float, float],
-    flags: tuple[bool, bool, bool, bool],
-    state: str,
-    elapsed_us: float,
-) -> str:
+def record_line(detection: Detection, state: SafetyState) -> str:
     """One detection record as an NDJSON line: the bytes of `json.dumps` of
-    the record, with means and elapsed_us rounded to 3 decimals. The means
-    and flags come in QuadrantId order."""
-    m0, m1, m2, m3 = quadrant_means
-    f0, f1, f2, f3 = flags
+    the record, with means and elapsed_us rounded to 3 decimals."""
+    motion, roi = detection.motion, detection.roi
+    m0, m1, m2, m3 = roi.quadrant_means
+    f0, f1, f2, f3 = roi.flags
     return _RECORD(
-        frame, _LITERAL[verdict], _LITERAL[movement], active_count,
-        _decimal3(m0), _decimal3(m1), _decimal3(m2), _decimal3(m3),
+        detection.frame_index, _LITERAL[detection.verdict], _LITERAL[motion.movement],
+        motion.active_count, _decimal3(m0), _decimal3(m1), _decimal3(m2), _decimal3(m3),
         _LITERAL[f0], _LITERAL[f1], _LITERAL[f2], _LITERAL[f3],
-        state, _decimal3(elapsed_us),
+        state.label, _decimal3(detection.elapsed_us),
     )
 
 
@@ -300,17 +291,7 @@ def cmd_detect(args) -> int:
             for frame in frames:
                 detection = hybrid_step(state, frame, roi_cfg)
                 safety, events = zone_update(zone_state, detection, zone_cfg)
-                roi, motion = detection.roi, detection.motion
-                out.write(record_line(
-                    detection.frame_index,
-                    detection.verdict,
-                    motion.movement,
-                    motion.active_count,
-                    roi.quadrant_means,
-                    roi.flags,
-                    safety.label,
-                    detection.elapsed_us,
-                ))
+                out.write(record_line(detection, safety))
                 for event in events:
                     out.write(event_line(event))
         if temp:

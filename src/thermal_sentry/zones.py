@@ -99,14 +99,14 @@ class ZoneConfig(
 
 
 class ZoneState:
-    """Mutable per-stream occupancy and state-machine memory."""
+    """Mutable per-stream occupancy and state-machine memory; `pending[q]`
+    counts the frames in a row whose flag disagrees with q's occupancy."""
 
-    __slots__ = ("state", "flag_streak", "clear_streak", "occupied", "unlocalized_hold")
+    __slots__ = ("state", "pending", "occupied", "unlocalized_hold")
 
     def __init__(self) -> None:
         self.state = SafetyState.RUN
-        self.flag_streak = dict.fromkeys(QUADRANTS, 0)
-        self.clear_streak = dict.fromkeys(QUADRANTS, 0)
+        self.pending = [0, 0, 0, 0]
         self.occupied: set[QuadrantId] = set()
         self.unlocalized_hold = 0
 
@@ -122,19 +122,18 @@ def zone_update(
     roi = detection.roi
     index = detection.frame_index
     events: list[ZoneEvent] = []
+    pending, occupied = state.pending, state.occupied
 
     for q in QUADRANTS:
-        if roi.flags[q]:
-            state.flag_streak[q] += 1
-            state.clear_streak[q] = 0
-            if q not in state.occupied and state.flag_streak[q] >= config.debounce_frames:
-                state.occupied.add(q)
+        flagged = roi.flags[q]
+        pending[q] = 0 if flagged == (q in occupied) else pending[q] + 1
+        if pending[q] >= (config.debounce_frames if flagged else config.clear_frames):
+            pending[q] = 0
+            if flagged:
+                occupied.add(q)
                 events.append(ZoneEvent(index, ZoneEventKind.ENTERED, quadrant=q))
-        else:
-            state.clear_streak[q] += 1
-            state.flag_streak[q] = 0
-            if q in state.occupied and state.clear_streak[q] >= config.clear_frames:
-                state.occupied.discard(q)
+            else:
+                occupied.discard(q)
                 events.append(ZoneEvent(index, ZoneEventKind.CLEARED, quadrant=q))
 
     if detection.verdict and not roi.any:
@@ -143,7 +142,7 @@ def zone_update(
         state.unlocalized_hold = config.debounce_frames
 
     classes = config.zone_class
-    target = max((_DEMAND[classes[q]] for q in state.occupied), default=SafetyState.RUN)
+    target = max((_DEMAND[classes[q]] for q in occupied), default=SafetyState.RUN)
     if state.unlocalized_hold > 0:
         target = max(target, SafetyState.SLOW)
         state.unlocalized_hold -= 1

@@ -623,15 +623,19 @@ class TestUsage:
         assert "argument --zones: empty file name" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
-        ("detect", "--out"), ("eval", "--out"), ("synth", "--out-dir"), ("synth", "--scene"),
+        ("detect", "--out"), ("detect", "--input-dir"), ("eval", "--out"),
+        ("eval", "--input-dir"), ("eval", "--labels"), ("synth", "--out-dir"),
+        ("synth", "--scene"),
     ])
     def test_empty_path_flag_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             command, flag):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
         scene = tmp_path / "s.scene"
         scene.write_text(HOT_QUADRANT_SCENE)
+        # detect is given a frame file, so that an empty --input-dir is not
+        # mistaken for an absent one next to it
         argv = {
-            "detect": ["detect", "--input-dir", str(data)],
+            "detect": ["detect", str(data / "frame_000000.pgm")],
             "eval": ["eval", "--input-dir", str(data), "--labels", str(data / "labels.csv")],
             "synth": ["synth", "--scene", str(scene), "--out-dir", str(tmp_path / "new")],
         }[command] + [flag, ""]

@@ -423,9 +423,12 @@ class TestZoneUpdateAgainstReference:
             assert got is expected
             assert events == expected_events
             assert state.state is reference.state
+            # one count per quadrant: the reference's streak that can toggle it
             for q in QuadrantId:
-                assert state.flag_streak[q] == reference.flag_streak[q]
-                assert state.clear_streak[q] == reference.clear_streak[q]
+                if q in reference.occupied:
+                    assert state.pending[q] == reference.clear_streak[q]
+                else:
+                    assert state.pending[q] == reference.flag_streak[q]
             assert state.occupied == reference.occupied
             assert state.unlocalized_hold == reference.unlocalized_hold
 
@@ -775,6 +778,13 @@ def listed_by_replay_dir(path):
     return opened
 
 
+def touch(directory, name):
+    """Create the empty file `name`, given as bytes: a non-ASCII name stays
+    the same file in every locale, where a str name cannot be encoded under
+    LC_ALL=C."""
+    os.close(os.open(os.fsencode(directory) + b"/" + name, os.O_CREAT | os.O_WRONLY))
+
+
 class TestListingAgainstGlob:
     NAMES = [
         "frame_000002.pgm", "frame_000010.pgm", "frame_000001.pgm", ".hidden.pgm",
@@ -787,13 +797,12 @@ class TestListingAgainstGlob:
         root = tmp_path / "frames"
         root.mkdir()
         for name in self.NAMES:
-            (root / name).write_bytes(b"")
+            touch(root, name.encode("utf-8"))
         (root / "d.pgm").mkdir()  # a directory whose name matches
         (root / "sub").mkdir()
         (root / "sub" / "nested.pgm").write_bytes(b"")
         (root / "broken.pgm").symlink_to(root / "absent")
-        # a name that is not valid UTF-8
-        os.close(os.open(os.fsencode(root) + b"/\xff.pgm", os.O_CREAT | os.O_WRONLY))
+        touch(root, b"\xff.pgm")  # a name that is not valid UTF-8
         return root
 
     def test_same_files_in_the_same_order(self, directory):
@@ -814,7 +823,7 @@ class TestListingAgainstGlob:
     def test_random_names(self, tmp_path_factory, names):
         root = tmp_path_factory.mktemp("names")
         for name in names - {".", ".."}:
-            (root / name).write_bytes(b"")
+            touch(root, name.encode("utf-8"))
         expected = reference_glob_listing(root)
         assert listed_by_replay_dir(root) == expected
 
@@ -856,6 +865,13 @@ record_floats = st.one_of(
 )
 
 
+# the state names the NDJSON records carry, spelled out rather than taken
+# from SafetyState.label, the code under test
+STATE_NAMES = {
+    SafetyState.RUN: "Run", SafetyState.SLOW: "Slow", SafetyState.STOP: "Stop", None: None,
+}
+
+
 class TestRecordLineAgainstJson:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -865,20 +881,17 @@ class TestRecordLineAgainstJson:
         active_count=st.integers(0, 2**40),
         means=st.tuples(*[record_floats] * 4),
         flags=st.tuples(*[st.booleans()] * 4),
-        state=st.sampled_from(["Run", "Slow", "Stop"]),
+        state=st.sampled_from(list(SafetyState)),
         elapsed_us=record_floats,
     )
     def test_byte_equal_to_json_dumps(self, frame, verdict, movement, active_count, means,
                                       flags, state, elapsed_us):
-        args = (frame, verdict, movement, active_count, means, flags, state, elapsed_us)
-        assert record_line(*args) == reference_record_line(*args)
-
-
-# the state names the NDJSON records carry, spelled out rather than taken
-# from SafetyState.label, the code under test
-STATE_NAMES = {
-    SafetyState.RUN: "Run", SafetyState.SLOW: "Slow", SafetyState.STOP: "Stop", None: None,
-}
+        motion = MotionResult(movement, active_count, 1, not movement)
+        roi = RoiResult(0.0, means, flags, any(flags))
+        detection = Detection(frame, verdict, elapsed_us, motion, roi)
+        assert record_line(detection, state) == reference_record_line(
+            frame, verdict, movement, active_count, means, flags, STATE_NAMES[state],
+            elapsed_us)
 
 
 def reference_event_line(event):

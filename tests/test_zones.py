@@ -73,10 +73,11 @@ class TestConfig:
 
     def test_each_state_starts_fresh(self):
         first, second = ZoneState(), ZoneState()
-        zone_update(first, detection(0, {QuadrantId.Q0}), critical_q3(debounce=1))
-        assert first.occupied == {QuadrantId.Q0} and first.flag_streak[QuadrantId.Q0] == 1
-        assert second.occupied == set() and set(second.flag_streak.values()) == {0}
-        assert set(second.clear_streak.values()) == {0}
+        config = critical_q3(debounce=1, clear=2)
+        zone_update(first, detection(0, {QuadrantId.Q0}), config)
+        zone_update(first, detection(1), config)
+        assert first.occupied == {QuadrantId.Q0} and first.pending == [1, 0, 0, 0]
+        assert second.occupied == set() and second.pending == [0, 0, 0, 0]
 
 
 class TestParse:
@@ -207,6 +208,24 @@ class TestStateMachine:
             )
             assert events == []
             assert safety is SafetyState.RUN
+
+    def test_flag_interruption_resets_clear(self):
+        cfg = critical_q3(debounce=1, clear=3)
+        state = ZoneState()
+        # occupied at frame 0; the flag at frame 3 restarts the clear count
+        pattern = [True, False, False, True, False, False]
+        log = []
+        for i, flagged in enumerate(pattern):
+            safety, events = zone_update(
+                state, detection(i, (QuadrantId.Q3,) if flagged else ()), cfg
+            )
+            log.extend(events)
+            assert safety is SafetyState.STOP
+        assert [e.kind for e in log] == [ZoneEventKind.ENTERED, ZoneEventKind.STATE_CHANGED]
+        # the third unflagged frame in a row releases the quadrant
+        safety, events = zone_update(state, detection(6), cfg)
+        assert safety is SafetyState.RUN
+        assert [e.kind for e in events] == [ZoneEventKind.CLEARED, ZoneEventKind.STATE_CHANGED]
 
     def test_movement_only_escalates_to_slow_for_debounce_window(self):
         cfg = critical_q3(debounce=3)

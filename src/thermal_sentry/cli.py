@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .frame import replay_dir, replay_files
 from .hybrid import Detection, hybrid_step
-from .keyvalue import read_settings
+from .keyvalue import checked, read_settings
 from .motion import MotionConfig, MotionState
 from .roi import RoiConfig
 from .zones import SafetyState, ZoneConfig, ZoneEvent, ZoneState, parse_zone_config, zone_update
@@ -81,24 +81,6 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _checked(convert, config, field: str):
-    """Flag and config-file type that converts the text and then has the
-    config class check the value, so an out-of-range value is reported
-    where it is written: as a flag a usage error, in a config file a data
-    error, even when a flag overrides it or the command builds no detector."""
-
-    def parse(text: str):
-        value = convert(text)
-        try:
-            config(**{field: value})
-        except ValueError as exc:
-            raise BadValueError(str(exc)) from None
-        return value
-
-    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
-    return parse
-
-
 # The detector flags of detect and eval, by the config they set: (flag and
 # config-file key, config field, converter, metavar, help). Each default is
 # the config class's own.
@@ -117,16 +99,18 @@ _DETECTOR_FLAGS = {
 }
 
 # config-file keys and how to convert their values (CLI flags take precedence);
-# the detector flags convert with the same functions
+# the detector flags convert with the same functions, so a value out of range
+# is reported where it is written: as a flag a usage error, in a config file a
+# data error, even when a flag overrides it or the command builds no detector
 _CONFIG_KEYS = {
-    key: _checked(convert, config, field)
+    key: checked(convert, config, field, error=BadValueError)
     for config, flags in _DETECTOR_FLAGS.items()
     for key, field, convert, _, _ in flags
 }
 _CONFIG_KEYS.update(zones=_file)
 
 
-def build_parser(defaults: dict | None = None) -> _Parser:
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="thermal-sentry",
         description="Human-presence detection for low-resolution thermal imagery.",
@@ -139,11 +123,12 @@ def build_parser(defaults: dict | None = None) -> _Parser:
 
     detector = _Parser(add_help=False)
     group = detector.add_argument_group("detector options")
+    # a flag not given sets nothing: the config file or class supplies it
     for config, flags in _DETECTOR_FLAGS.items():
         for key, field, _, metavar, text in flags:
             default = getattr(config(), field)
-            group.add_argument("--" + key.replace("_", "-"), default=default, metavar=metavar,
-                               type=_CONFIG_KEYS[key],
+            group.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                               metavar=metavar, type=_CONFIG_KEYS[key],
                                help=text if default is None else f"{text} (default {default})")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -177,23 +162,18 @@ def build_parser(defaults: dict | None = None) -> _Parser:
     p_synth.add_argument("--out-dir", required=True, metavar="DIR", type=_file,
                          help="dataset output directory")
     p_synth.set_defaults(func=cmd_synth)
-
-    if defaults:
-        # subparsers parse into a fresh namespace, so config-file defaults
-        # must be pushed down to each of them, not just the root parser
-        for p in (parser, p_detect, p_eval):
-            p.set_defaults(**defaults)
     return parser
 
 
 def parse_config(text: str) -> dict:
-    """Flag defaults, by config-file key, from config-file text."""
+    """Settings, by config-file key, from config-file text."""
     return read_settings(text, _CONFIG_KEYS)
 
 
 def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
+    given = vars(args)  # a setting neither flag nor file gave is the class default
     return tuple(
-        config(**{field: getattr(args, key) for key, field, *_ in flags})
+        config(**{field: given[key] for key, field, *_ in flags if key in given})
         for config, flags in _DETECTOR_FLAGS.items()
     )
 
@@ -373,16 +353,18 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE
-    # a config file supplies defaults for a second parse, so that a flag on
-    # the command line still wins; --config '' names no file
+    # a config file supplies each setting no flag gave, so that a flag on
+    # the command line wins; --config '' names no file
     config_path = os.environ.get(CONFIG_ENV) if args.config is None else args.config
     if config_path:
         try:
-            defaults = _parse_file(config_path, parse_config)
+            settings = _parse_file(config_path, parse_config)
         except (OSError, ValueError) as exc:
             print(f"thermal-sentry: {exc}", file=sys.stderr)
             return EXIT_DATA
-        args = build_parser(defaults).parse_args(argv)
+        for key, value in settings.items():
+            if getattr(args, key, None) is None:
+                setattr(args, key, value)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # every data error class is a ValueError

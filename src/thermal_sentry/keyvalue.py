@@ -2,6 +2,8 @@
 
 A key may appear on one line only, so that no line is silently overridden
 by a later one, except for keys a format lets repeat (a scene's `blob=`).
+A setting's type, range and default belong to the record it sets; `checked`
+turns that record into the setting's converter.
 """
 
 from __future__ import annotations
@@ -48,3 +50,26 @@ def read_settings(
         else:
             settings[key] = value
     return settings
+
+
+def checked(
+    convert: Callable[[str], Any],
+    record: Callable[..., Any],
+    field: str,
+    error: type[ValueError] = ValueError,
+) -> Callable[[str], Any]:
+    """Converter that converts the text and then builds `record` with the
+    value as `field` alone, so that the record's own check rejects a value
+    out of range where it is written; the record's ValueError is raised as
+    `error`."""
+
+    def parse(text: str) -> Any:
+        value = convert(text)
+        try:
+            record(**{field: value})
+        except ValueError as exc:
+            raise error(str(exc)) from None
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse

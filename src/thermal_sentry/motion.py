@@ -45,12 +45,13 @@ class MotionConfig(CheckedRecord, namedtuple(
     def __new__(cls, active_pixel_delta: int = 20, active_fraction: float = 0.05,
                 max_hold_frames: int | None = None):
         self = super().__new__(cls, active_pixel_delta, active_fraction, max_hold_frames)
-        # NaN fails every comparison, so these checks reject it
-        if not 1 <= self.active_pixel_delta <= MAX_COUNT:
+        # NaN fails every comparison; a count is an int, and no field a bool
+        delta, hold = self.active_pixel_delta, self.max_hold_frames
+        if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= MAX_COUNT:
             raise ValueError(f"active_pixel_delta must be a number in 1..{MAX_COUNT}")
-        if not 0.0 < self.active_fraction <= 1.0:
+        if isinstance(self.active_fraction, bool) or not 0.0 < self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in (0, 1]")
-        if not (self.max_hold_frames is None or 1 <= self.max_hold_frames < math.inf):
+        if hold is not None and (isinstance(hold, bool) or not isinstance(hold, int) or hold < 1):
             raise ValueError("max_hold_frames must be a finite number >= 1 when set")
         return self
 

@@ -30,10 +30,11 @@ class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "ratio min_quadrant_mean"
 
     def __new__(cls, ratio: float = 1.20, min_quadrant_mean: int = 1):
         self = super().__new__(cls, ratio, min_quadrant_mean)
-        # NaN fails every comparison, so these checks reject it
-        if not 1.0 <= self.ratio < 4.0:
+        # NaN fails every comparison; a count is an int, and no field a bool
+        floor = self.min_quadrant_mean
+        if isinstance(self.ratio, bool) or not 1.0 <= self.ratio < 4.0:
             raise ValueError("ratio must be a finite number >= 1.0 and < 4.0")
-        if not 0 <= self.min_quadrant_mean <= MAX_COUNT:
+        if isinstance(floor, bool) or not isinstance(floor, int) or not 0 <= floor <= MAX_COUNT:
             raise ValueError(f"min_quadrant_mean must be a number in 0..{MAX_COUNT}")
         return self
 

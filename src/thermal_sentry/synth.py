@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .evaluate import GroundTruthLabel, write_labels
 from .frame import CheckedRecord, QuadrantId, ThermalFrame, write_pgm
-from .keyvalue import read_settings
+from .keyvalue import checked, read_settings
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -240,18 +241,15 @@ def _parse_blob(value: str) -> BlobSpec:
     return BlobSpec(amplitude, sigma, tuple(waypoints), is_human=kind == "human")
 
 
-# scene-file keys and how to convert their values
-_SCENE_KEYS = {
-    "width": int,
-    "height": int,
-    "frames": int,
-    "ambient": float,
-    "drift": float,
-    "noise_sigma": float,
-    "seed": int,
-    "blob": _parse_blob,
-}
 _KEY_TO_FIELD = {"drift": "drift_per_frame"}
+# scene-file keys and how to convert their values; SceneSpec checks each
+# scalar where it is written, in a one-frame scene unless the key is frames
+_SCENE_KEYS = {
+    key: checked(convert, partial(SceneSpec, frames=1), _KEY_TO_FIELD.get(key, key))
+    for key, convert in [("width", int), ("height", int), ("frames", int), ("ambient", float),
+                         ("drift", float), ("noise_sigma", float), ("seed", int)]
+}
+_SCENE_KEYS.update(blob=_parse_blob)
 
 
 def parse_scene(text: str) -> SceneSpec:

@@ -16,7 +16,6 @@ single-frame chatter without adding meaningful reaction delay.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from enum import Enum, IntEnum
 from types import MappingProxyType
@@ -24,7 +23,7 @@ from typing import Mapping, NamedTuple
 
 from .frame import QUADRANTS, CheckedRecord, QuadrantId
 from .hybrid import Detection
-from .keyvalue import read_settings
+from .keyvalue import checked, read_settings
 
 
 class ZoneClass(Enum):
@@ -90,11 +89,12 @@ class ZoneConfig(
         # a plain "critical" string would never demand Stop
         if not all(isinstance(c, ZoneClass) for c in self.zone_class.values()):
             raise ValueError("zone_class values must be ZoneClass members")
-        # NaN fails every comparison, so these checks reject it
-        if not 1 <= self.debounce_frames < math.inf:
-            raise ValueError("debounce_frames must be a finite number >= 1")
-        if not 1 <= self.clear_frames < math.inf:
-            raise ValueError("clear_frames must be a finite number >= 1")
+        # frame counts: 2.5 would act as 3 frames and True as 1
+        debounce, clear = self.debounce_frames, self.clear_frames
+        if isinstance(debounce, bool) or not isinstance(debounce, int) or debounce < 1:
+            raise ValueError("debounce_frames must be an int >= 1")
+        if isinstance(clear, bool) or not isinstance(clear, int) or clear < 1:
+            raise ValueError("clear_frames must be an int >= 1")
         return self
 
 
@@ -160,13 +160,6 @@ def zone_update(
     return target, events
 
 
-def _count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"{count} is not positive")
-    return count
-
-
 def _zone_class(text: str) -> ZoneClass:
     try:
         return ZoneClass(text.lower())
@@ -174,9 +167,10 @@ def _zone_class(text: str) -> ZoneClass:
         raise ValueError(f"unknown zone class {text!r}") from None
 
 
+_COUNT_FIELDS = {"debounce": "debounce_frames", "clear": "clear_frames"}
 # zone-file keys and how to convert their values
 _ZONE_KEYS = {q.name.lower(): _zone_class for q in QuadrantId}
-_ZONE_KEYS.update(debounce=_count, clear=_count)
+_ZONE_KEYS.update({key: checked(int, ZoneConfig, field) for key, field in _COUNT_FIELDS.items()})
 
 
 def parse_zone_config(text: str) -> ZoneConfig:
@@ -185,9 +179,5 @@ def parse_zone_config(text: str) -> ZoneConfig:
     settings-file syntax of `read_settings`. Quadrants not mentioned
     default to Ignore."""
     settings = read_settings(text, _ZONE_KEYS, error=ZoneConfigError)
-    default = ZoneConfig()
-    return ZoneConfig(
-        {q: settings.get(q.name.lower(), ZoneClass.IGNORE) for q in QuadrantId},
-        settings.get("debounce", default.debounce_frames),
-        settings.get("clear", default.clear_frames),
-    )
+    classes = {q: settings.pop(q.name.lower(), ZoneClass.IGNORE) for q in QuadrantId}
+    return ZoneConfig(classes, **{_COUNT_FIELDS[key]: value for key, value in settings.items()})

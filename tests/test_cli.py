@@ -1079,3 +1079,38 @@ class TestDefaults:
             ("--roi-min-mean COUNTS", roi.min_quadrant_mean),
         ]:
             assert f"(default {default})" in options.split(flag, 1)[1].split(" --", 1)[0]
+
+
+# every config-file key: a flag value, a config-file value, and the setting
+# as the detector configs and zone file name that detect builds show it
+SETTINGS = [
+    ("active_delta", "7", "9", lambda motion, roi, zones: motion.active_pixel_delta),
+    ("active_fraction", "0.1", "0.2", lambda motion, roi, zones: motion.active_fraction),
+    ("max_hold_frames", "30", "40", lambda motion, roi, zones: motion.max_hold_frames),
+    ("roi_ratio", "1.5", "1.6", lambda motion, roi, zones: roi.ratio),
+    ("roi_min_mean", "5", "6", lambda motion, roi, zones: roi.min_quadrant_mean),
+    ("zones", "flag.zones", "file.zones", lambda motion, roi, zones: zones),
+]
+
+
+class TestPrecedence:
+    @pytest.mark.parametrize("given", ["flag", "file", "both", "neither"])
+    @pytest.mark.parametrize("key, flag_value, file_value, setting", SETTINGS,
+                             ids=[key for key, *_ in SETTINGS])
+    def test_flag_beats_file_beats_class_default(
+        self, tmp_path, monkeypatch, key, flag_value, file_value, setting, given
+    ):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_detect", lambda args: seen.append(
+            (*cli._detector_configs(args), args.zones)) or 0)
+        config = tmp_path / "sentry.cfg"
+        config.write_text(f"{key}={file_value}\n" if given in ("file", "both") else "")
+        argv = ["--config", str(config), "detect"]
+        if given in ("flag", "both"):
+            argv += ["--" + key.replace("_", "-"), flag_value]
+        assert main(argv) == 0
+        [(motion, roi, zones)] = seen
+        text = {"flag": flag_value, "both": flag_value, "file": file_value}.get(given)
+        expected = (setting(MotionConfig(), RoiConfig(), None) if text is None
+                    else cli._CONFIG_KEYS[key](text))
+        assert setting(motion, roi, zones) == expected

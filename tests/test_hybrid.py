@@ -213,7 +213,7 @@ class TestResultRecords:
         assert record(*values)._replace(**{name: value}) == record(*changed)
 
 
-# the configs the command line builds one field at a time (`cli._checked`)
+# the configs the settings readers build one field at a time (`keyvalue.checked`)
 @pytest.mark.parametrize("record, names, values, changed", RECORDS[3:6],
                          ids=[record.__name__ for record, *_ in RECORDS[3:6]])
 def test_config_field_by_keyword(record, names, values, changed):
@@ -244,9 +244,8 @@ INVALID = [
      ValueError, "zone_class must map every quadrant"),
     (ZoneConfig, dict(zone_class={q: "critical" for q in QuadrantId}),
      ValueError, "zone_class values must be ZoneClass members"),
-    (ZoneConfig, dict(debounce_frames=0),
-     ValueError, "debounce_frames must be a finite number >= 1"),
-    (ZoneConfig, dict(clear_frames=0), ValueError, "clear_frames must be a finite number >= 1"),
+    (ZoneConfig, dict(debounce_frames=0), ValueError, "debounce_frames must be an int >= 1"),
+    (ZoneConfig, dict(clear_frames=0), ValueError, "clear_frames must be an int >= 1"),
     (ConfusionMatrix, dict(fn=-1), ValueError, "confusion counts must be non-negative"),
     (GroundTruthLabel, dict(human_present=False),
      ValueError, "occupied quadrants require human_present"),
@@ -256,12 +255,35 @@ INVALID = [
     (SceneSpec, dict(width=3), SceneError, "scene dimensions must be even and >= 2"),
     (SceneSpec, dict(noise_sigma=math.nan), SceneError, "noise_sigma must be finite"),
 ]
+# values of a type the field does not take: a count takes an int and not a
+# bool, and a bool ratio or fraction has no decimal text for the exact
+# threshold arithmetic. Their ids carry the value.
+WRONG_TYPE = [
+    (MotionConfig, dict(active_pixel_delta=20.5),
+     ValueError, "active_pixel_delta must be a number in 1..65535"),
+    (MotionConfig, dict(active_pixel_delta=True),
+     ValueError, "active_pixel_delta must be a number in 1..65535"),
+    (MotionConfig, dict(active_fraction=True), ValueError, "active_fraction must be in (0, 1]"),
+    (MotionConfig, dict(max_hold_frames=2.5),
+     ValueError, "max_hold_frames must be a finite number >= 1 when set"),
+    (MotionConfig, dict(max_hold_frames=True),
+     ValueError, "max_hold_frames must be a finite number >= 1 when set"),
+    (RoiConfig, dict(ratio=True), ValueError, "ratio must be a finite number >= 1.0 and < 4.0"),
+    (RoiConfig, dict(min_quadrant_mean=0.5),
+     ValueError, "min_quadrant_mean must be a number in 0..65535"),
+    (RoiConfig, dict(min_quadrant_mean=True),
+     ValueError, "min_quadrant_mean must be a number in 0..65535"),
+    (ZoneConfig, dict(debounce_frames=2.5), ValueError, "debounce_frames must be an int >= 1"),
+    (ZoneConfig, dict(clear_frames=True), ValueError, "clear_frames must be an int >= 1"),
+]
 VALID = {record: values for record, _, values, _ in RECORDS}
 VALID[ThermalFrame] = (16, 12, _GRID, 0)
 
 
-@pytest.mark.parametrize("record, fields, error, message", INVALID,
-                         ids=[f"{r.__name__}-{'-'.join(f)}" for r, f, _, _ in INVALID])
+@pytest.mark.parametrize(
+    "record, fields, error, message", INVALID + WRONG_TYPE,
+    ids=[f"{r.__name__}-{'-'.join(f)}" for r, f, _, _ in INVALID]
+    + [f"{r.__name__}-{k}={v!r}" for r, f, _, _ in WRONG_TYPE for k, v in f.items()])
 class TestRecordChecks:
     def test_construction_is_checked(self, record, fields, error, message):
         arguments = dict(zip(inspect.signature(record).parameters, VALID[record]))

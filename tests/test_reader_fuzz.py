@@ -91,7 +91,8 @@ class TestZoneReader:
     def test_returns_config_or_zone_config_error(self, text):
         try:
             config = parse_zone_config(text)
-        except ZoneConfigError:
+        except ZoneConfigError as exc:
+            assert str(exc).startswith("line ")
             return
         assert isinstance(config, ZoneConfig)
         assert not repeats_a_key(text)
@@ -124,10 +125,14 @@ class TestSceneReader:
     @example(text="frames=4\nblob=900,2,human,0:1e999:4")
     @example(text="frames=10\nframes=20")
     @example(text="frames=4\nnoise-sigma=1\nnoise_sigma=2")
+    @example(text="frames=0")
+    @example(text="frames=4\nwidth=3")
     def test_returns_finite_scene_or_scene_error(self, text):
         try:
             spec = parse_scene(text)
-        except SceneError:
+        except SceneError as exc:
+            # only a file without frames= has no line to name
+            assert str(exc).startswith("line ") or str(exc) == "scene file must set frames"
             return
         assert all(math.isfinite(v) for group in scene_numbers(spec) for v in group)
         assert not repeats_a_key(text, repeatable=("blob",))

@@ -53,8 +53,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="zone_class"):
             ZoneConfig({q: "critical" for q in QuadrantId})
 
-    # a NaN debounce would never mark a quadrant occupied
-    @pytest.mark.parametrize("value", [0, math.nan, math.inf])
+    # a NaN debounce would never mark a quadrant occupied, 2.5 would act as
+    # 3 frames and True as 1
+    @pytest.mark.parametrize("value", [0, math.nan, math.inf, 2.5, True])
     @pytest.mark.parametrize("field", ["debounce_frames", "clear_frames"])
     def test_rejects_count_that_is_not_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -109,7 +110,8 @@ class TestParse:
             parse_zone_config("Q1=lava")
 
     def test_nonpositive_debounce_rejected(self):
-        with pytest.raises(ZoneConfigError, match="positive"):
+        with pytest.raises(ZoneConfigError,
+                           match="line 1: bad value for debounce: debounce_frames must be an int >= 1"):
             parse_zone_config("debounce=0")
 
     def test_garbage_line_rejected(self):

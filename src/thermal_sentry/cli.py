@@ -53,6 +53,8 @@ _RECORD = (
     '"state": "{}", "elapsed_us": {}}}\n'
 ).format
 _LITERAL = {True: "true", False: "false"}
+# each state's label, read once: `.label` costs two Enum property calls
+_LABEL = {state: state.label for state in SafetyState}
 # A zone event the same way; every name it holds is plain ASCII.
 _EVENT = (
     '{{"frame": {}, "event": "{}", "quadrant": {}, "from_state": {}, "to_state": {}}}\n'
@@ -208,7 +210,7 @@ def record_line(detection: Detection, state: SafetyState) -> str:
         detection.frame_index, _LITERAL[detection.verdict], _LITERAL[motion.movement],
         motion.active_count, _decimal3(m0), _decimal3(m1), _decimal3(m2), _decimal3(m3),
         _LITERAL[f0], _LITERAL[f1], _LITERAL[f2], _LITERAL[f3],
-        state.label, _decimal3(detection.elapsed_us),
+        _LABEL[state], _decimal3(detection.elapsed_us),
     )
 
 
@@ -220,8 +222,8 @@ def event_line(event: ZoneEvent) -> str:
     return _EVENT(
         event.frame_index, event.kind.value,
         "null" if quadrant is None else f'"{quadrant.name}"',
-        "null" if before is None else f'"{before.label}"',
-        "null" if after is None else f'"{after.label}"',
+        "null" if before is None else f'"{_LABEL[before]}"',
+        "null" if after is None else f'"{_LABEL[after]}"',
     )
 
 

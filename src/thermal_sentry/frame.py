@@ -99,7 +99,8 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> np.ndarray:
 
 
 # (header bytes, parsed header) of the last file that decoded. The header
-# bytes run to the byte after maxval, which `_NUMBER`'s lookahead reads.
+# bytes run to the byte after maxval, which `_NUMBER`'s lookahead reads and
+# P5 requires to be whitespace.
 _last_header: tuple[bytes, tuple[bytes, int, int, int, int]] | None = None
 # how much each read asks for once a file has turned out longer than fstat said
 _READ_CHUNK = 1 << 16
@@ -136,30 +137,30 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
     8-bit files (maxval < 256) are widened to 16-bit storage without
     rescaling: a stored 255 stays 255.
 
-    A stream's frames share one header, so it is parsed once: a file whose
-    leading bytes equal the header of the last file that decoded reuses
-    that parse, because equal bytes parse the same. The header is kept only
-    after its file has decoded, and the checks on the payload run on every
-    file.
+    A stream's frames share one header, so it is parsed and checked once: a
+    file whose leading bytes equal the header of the last file that decoded
+    reuses that parse and skips the header checks, because equal bytes parse
+    the same and pass the same checks. The header is kept only after its
+    file has decoded, and the checks on the payload run on every file.
     """
     global _last_header
     data = _read_file(path)
     last = _last_header
     if last is not None and data.startswith(last[0]):
-        header = last[1]
+        magic, width, height, maxval, pos = last[1]
     else:
-        header = _parse_header(path, data)
-    magic, width, height, maxval, pos = header
-    if not 0 < maxval <= MAX_COUNT:
-        raise PgmError(f"{path}: unsupported maxval {maxval}")
-    if width < 2 or height < 2 or width % 2 or height % 2:
-        raise PgmError(
-            f"{path}: dimensions must be even and >= 2, got {width}x{height}"
-        )
+        magic, width, height, maxval, pos = header = _parse_header(path, data)
+        if not 0 < maxval <= MAX_COUNT:
+            raise PgmError(f"{path}: unsupported maxval {maxval}")
+        if width < 2 or height < 2 or width % 2 or height % 2:
+            raise PgmError(
+                f"{path}: dimensions must be even and >= 2, got {width}x{height}"
+            )
+        if magic == b"P5" and not data[pos : pos + 1].isspace():
+            raise PgmError(f"{path}: missing whitespace after maxval")
+        last = None  # a new header, kept once its payload has decoded
     count = width * height
     if magic == b"P5":
-        if pos >= len(data) or not data[pos : pos + 1].isspace():
-            raise PgmError(f"{path}: missing whitespace after maxval")
         itemsize = 2 if maxval > 255 else 1
         if len(data) - pos - 1 != count * itemsize:
             raise PgmError(
@@ -190,7 +191,8 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
     # a full-range 16-bit maxval admits every stored value
     if maxval < MAX_COUNT and int(values.max()) > maxval:
         raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
-    _last_header = (data[: pos + 1], header)
+    if last is None:
+        _last_header = (data[: pos + 1], header)
     return ThermalFrame(width, height, values, frame_index)
 
 

@@ -48,11 +48,11 @@ class MotionConfig(CheckedRecord, namedtuple(
         # NaN fails every comparison; a count is an int, and no field a bool
         delta, hold = self.active_pixel_delta, self.max_hold_frames
         if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= MAX_COUNT:
-            raise ValueError(f"active_pixel_delta must be a number in 1..{MAX_COUNT}")
+            raise ValueError(f"active_pixel_delta must be an int in 1..{MAX_COUNT}")
         if isinstance(self.active_fraction, bool) or not 0.0 < self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in (0, 1]")
         if hold is not None and (isinstance(hold, bool) or not isinstance(hold, int) or hold < 1):
-            raise ValueError("max_hold_frames must be a finite number >= 1 when set")
+            raise ValueError("max_hold_frames must be an int >= 1 when set")
         return self
 
 

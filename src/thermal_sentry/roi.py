@@ -35,7 +35,7 @@ class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "ratio min_quadrant_mean"
         if isinstance(self.ratio, bool) or not 1.0 <= self.ratio < 4.0:
             raise ValueError("ratio must be a finite number >= 1.0 and < 4.0")
         if isinstance(floor, bool) or not isinstance(floor, int) or not 0 <= floor <= MAX_COUNT:
-            raise ValueError(f"min_quadrant_mean must be a number in 0..{MAX_COUNT}")
+            raise ValueError(f"min_quadrant_mean must be an int in 0..{MAX_COUNT}")
         return self
 
 
@@ -77,10 +77,11 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig = RoiConfig()) -> RoiResu
     # int64 reduce. A column sum is at most hh * 65535, which fits uint32
     # while hh <= 65537; taller frames widen the accumulator to uint64. Each
     # row of column sums then splits into the left and right quadrants, so
-    # the four sums come out in QuadrantId order.
+    # the four sums come out in QuadrantId order. np.add.reduce is what
+    # ndarray.sum calls, minus numpy's Python-level wrapper in between.
     accumulator = np.uint32 if hh * MAX_COUNT < 2**32 else np.uint64
-    columns = frame.pixels.reshape(2, hh, frame.width).sum(axis=1, dtype=accumulator)
-    s0, s1, s2, s3 = columns.reshape(4, hw).sum(axis=1, dtype=np.int64).tolist()
+    columns = np.add.reduce(frame.pixels.reshape(2, hh, frame.width), 1, accumulator)
+    s0, s1, s2, s3 = np.add.reduce(columns.reshape(4, hw), 1, np.int64).tolist()
     total = s0 + s1 + s2 + s3
 
     bar = num * total

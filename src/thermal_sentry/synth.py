@@ -89,6 +89,11 @@ class SceneSpec(CheckedRecord, namedtuple(
         for name in ("ambient", "drift_per_frame", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise SceneError(f"{name} must be finite")
+        # counts: 2.5 frames would fail in `generate`, and True render one
+        for name in ("frames", "width", "height", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SceneError(f"{name} must be an int")
         if self.frames < 1:
             raise SceneError("scene needs at least one frame")
         if self.width < 2 or self.height < 2 or self.width % 2 or self.height % 2:

@@ -102,13 +102,17 @@ class ZoneState:
     """Mutable per-stream occupancy and state-machine memory; `pending[q]`
     counts the frames in a row whose flag disagrees with q's occupancy."""
 
-    __slots__ = ("state", "pending", "occupied", "unlocalized_hold")
+    __slots__ = ("state", "pending", "occupied", "unlocalized_hold", "demand", "demand_classes")
 
     def __init__(self) -> None:
         self.state = SafetyState.RUN
         self.pending = [0, 0, 0, 0]
         self.occupied: set[QuadrantId] = set()
         self.unlocalized_hold = 0
+        # the state the occupied quadrants demand under the `zone_class`
+        # mapping `demand_classes`; it changes only when occupancy does
+        self.demand = SafetyState.RUN
+        self.demand_classes: Mapping[QuadrantId, ZoneClass] | None = None
 
 
 def zone_update(
@@ -124,9 +128,11 @@ def zone_update(
     events: list[ZoneEvent] = []
     pending, occupied = state.pending, state.occupied
 
-    for q in QUADRANTS:
-        flagged = roi.flags[q]
-        pending[q] = 0 if flagged == (q in occupied) else pending[q] + 1
+    for q, flagged in zip(QUADRANTS, roi.flags):
+        if flagged == (q in occupied):
+            pending[q] = 0
+            continue
+        pending[q] += 1
         if pending[q] >= (config.debounce_frames if flagged else config.clear_frames):
             pending[q] = 0
             if flagged:
@@ -141,8 +147,14 @@ def zone_update(
         # debounce window starting at this frame
         state.unlocalized_hold = config.debounce_frames
 
+    # `events` holds only quadrant transitions so far; without one the demand
+    # stands unless the classes changed (each ZoneConfig owns a read-only
+    # copy, so the same object holds the same classes)
     classes = config.zone_class
-    target = max((_DEMAND[classes[q]] for q in occupied), default=SafetyState.RUN)
+    if events or classes is not state.demand_classes:
+        state.demand = max((_DEMAND[classes[q]] for q in occupied), default=SafetyState.RUN)
+        state.demand_classes = classes
+    target = state.demand
     if state.unlocalized_hold > 0:
         target = max(target, SafetyState.SLOW)
         state.unlocalized_hold -= 1

@@ -1114,3 +1114,59 @@ class TestPrecedence:
         expected = (setting(MotionConfig(), RoiConfig(), None) if text is None
                     else cli._CONFIG_KEYS[key](text))
         assert setting(motion, roi, zones) == expected
+
+
+class TestPerFrameCalls:
+    """The detect loop's per-frame work stays in C: no frame without a zone
+    event calls a Python function of the enum module (an Enum property or
+    hash) or of numpy's `_methods` (the wrapper behind `ndarray.sum`).
+    Counted calls, not timings, so the check holds on a loaded machine."""
+
+    def test_frames_without_events_call_no_enum_or_numpy_wrapper(self):
+        import enum
+
+        try:
+            from numpy._core import _methods
+        except ImportError:  # numpy < 2
+            from numpy.core import _methods
+        from thermal_sentry.motion import MotionState
+        from thermal_sentry.synth import BlobSpec, SceneSpec, render_frame
+        from thermal_sentry.zones import SafetyState, ZoneState, parse_zone_config
+
+        # a person walks into Q3, which is critical, and stays there
+        spec = SceneSpec(frames=120, width=32, height=24, ambient=60, noise_sigma=1.5, seed=7,
+                         blobs=(BlobSpec(900.0, 3.0, ((0, -10.0, 18.0), (30, 24.0, 18.0))),))
+        frames = [render_frame(spec, t) for t in range(spec.frames)]
+        zone_cfg = parse_zone_config("Q0=warning\nQ3=critical")
+        motion_state, zone_state = MotionState(), ZoneState()
+        watched = {enum.__file__, _methods.__file__}
+        calls: list[tuple[str, str]] = []  # (file, function) of each Python call
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append((frame.f_code.co_filename, frame.f_code.co_name))
+
+        # each frame's calls, whether it had zone events, and its state
+        per_frame = []
+        for frame in frames:
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                detection = cli.hybrid_step(motion_state, frame)
+                safety, events = cli.zone_update(zone_state, detection, zone_cfg)
+                cli.record_line(detection, safety)
+            finally:
+                sys.setprofile(None)
+            per_frame.append((list(calls), bool(events), safety))
+
+        # the hook saw the calls, and the person drove the state to Stop
+        assert all(any(name == "hybrid_step" for _, name in seen) for seen, _, _ in per_frame)
+        assert SafetyState.STOP in {safety for _, _, safety in per_frame}
+        quiet = {index: seen for index, (seen, had_events, _) in enumerate(per_frame)
+                 if not had_events}
+        assert 0 < len(quiet) < len(frames)
+        offending = {index: [f"{name} ({file})" for file, name in seen if file in watched]
+                     for index, seen in quiet.items()}
+        offending = {index: names for index, names in offending.items() if names}
+        assert offending == {}, (
+            f"{len(offending)} of {len(quiet)} frames without a zone event: {offending}")

@@ -409,12 +409,20 @@ class TestZoneUpdateAgainstReference:
         debounce=st.integers(1, 4),
         clear=st.integers(1, 4),
         classes=st.tuples(*[st.sampled_from(list(ZoneClass))] * 4),
+        # the stream switches to a second config at this frame, with its
+        # quadrants still occupied: the state must follow the config in force
+        later_classes=st.tuples(*[st.sampled_from(list(ZoneClass))] * 4),
+        switch_at=st.integers(0, 60),
     )
-    def test_state_and_events_frame_by_frame(self, runs, debounce, clear, classes):
-        config = ZoneConfig(dict(zip(QuadrantId, classes)), debounce, clear)
+    def test_state_and_events_frame_by_frame(
+        self, runs, debounce, clear, classes, later_classes, switch_at
+    ):
+        configs = [ZoneConfig(dict(zip(QuadrantId, c)), debounce, clear)
+                   for c in (classes, later_classes)]
         state, reference = ZoneState(), ReferenceZoneState()
         stream = [(flags, movement) for flags, movement, n in runs for _ in range(n)]
         for index, (flags, movement) in enumerate(stream):
+            config = configs[index >= switch_at]
             roi = RoiResult(0.0, (0.0, 0.0, 0.0, 0.0), flags, any(flags))
             motion = MotionResult(movement, 0, 1, not movement)
             detection = Detection(index, roi.any or movement, 1.0, motion, roi)

@@ -233,13 +233,13 @@ INVALID = [
     (ThermalFrame, dict(pixels=np.zeros(3)), ValueError, "expected 192 pixels, got 3"),
     (ThermalFrame, dict(pixels=_GRID - 1.0), ValueError, "pixel values must be within 0..65535"),
     (MotionConfig, dict(active_pixel_delta=0),
-     ValueError, "active_pixel_delta must be a number in 1..65535"),
+     ValueError, "active_pixel_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_fraction=0.0), ValueError, "active_fraction must be in (0, 1]"),
     (MotionConfig, dict(max_hold_frames=0),
-     ValueError, "max_hold_frames must be a finite number >= 1 when set"),
+     ValueError, "max_hold_frames must be an int >= 1 when set"),
     (RoiConfig, dict(ratio=4.0), ValueError, "ratio must be a finite number >= 1.0 and < 4.0"),
     (RoiConfig, dict(min_quadrant_mean=-1),
-     ValueError, "min_quadrant_mean must be a number in 0..65535"),
+     ValueError, "min_quadrant_mean must be an int in 0..65535"),
     (ZoneConfig, dict(zone_class={QuadrantId.Q0: ZoneClass.IGNORE}),
      ValueError, "zone_class must map every quadrant"),
     (ZoneConfig, dict(zone_class={q: "critical" for q in QuadrantId}),
@@ -260,21 +260,26 @@ INVALID = [
 # threshold arithmetic. Their ids carry the value.
 WRONG_TYPE = [
     (MotionConfig, dict(active_pixel_delta=20.5),
-     ValueError, "active_pixel_delta must be a number in 1..65535"),
+     ValueError, "active_pixel_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_pixel_delta=True),
-     ValueError, "active_pixel_delta must be a number in 1..65535"),
+     ValueError, "active_pixel_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_fraction=True), ValueError, "active_fraction must be in (0, 1]"),
     (MotionConfig, dict(max_hold_frames=2.5),
-     ValueError, "max_hold_frames must be a finite number >= 1 when set"),
+     ValueError, "max_hold_frames must be an int >= 1 when set"),
     (MotionConfig, dict(max_hold_frames=True),
-     ValueError, "max_hold_frames must be a finite number >= 1 when set"),
+     ValueError, "max_hold_frames must be an int >= 1 when set"),
     (RoiConfig, dict(ratio=True), ValueError, "ratio must be a finite number >= 1.0 and < 4.0"),
     (RoiConfig, dict(min_quadrant_mean=0.5),
-     ValueError, "min_quadrant_mean must be a number in 0..65535"),
+     ValueError, "min_quadrant_mean must be an int in 0..65535"),
     (RoiConfig, dict(min_quadrant_mean=True),
-     ValueError, "min_quadrant_mean must be a number in 0..65535"),
+     ValueError, "min_quadrant_mean must be an int in 0..65535"),
     (ZoneConfig, dict(debounce_frames=2.5), ValueError, "debounce_frames must be an int >= 1"),
     (ZoneConfig, dict(clear_frames=True), ValueError, "clear_frames must be an int >= 1"),
+    (SceneSpec, dict(frames=2.5), SceneError, "frames must be an int"),
+    (SceneSpec, dict(frames=True), SceneError, "frames must be an int"),
+    (SceneSpec, dict(width=4.0), SceneError, "width must be an int"),
+    (SceneSpec, dict(height=True), SceneError, "height must be an int"),
+    (SceneSpec, dict(seed=2.5), SceneError, "seed must be an int"),
 ]
 VALID = {record: values for record, _, values, _ in RECORDS}
 VALID[ThermalFrame] = (16, 12, _GRID, 0)

@@ -217,11 +217,12 @@ def record_line(detection: Detection, state: SafetyState) -> str:
 def event_line(event: ZoneEvent) -> str:
     """One zone event as an NDJSON line: the bytes of `json.dumps` of the
     record. SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums, so each
-    is compared against None explicitly."""
+    is compared against None explicitly. `_value_` and `_name_` are what the
+    Enum properties `value` and `name` return, read without their calls."""
     quadrant, before, after = event.quadrant, event.from_state, event.to_state
     return _EVENT(
-        event.frame_index, event.kind.value,
-        "null" if quadrant is None else f'"{quadrant.name}"',
+        event.frame_index, event.kind._value_,
+        "null" if quadrant is None else f'"{quadrant._name_}"',
         "null" if before is None else f'"{_LABEL[before]}"',
         "null" if after is None else f'"{_LABEL[after]}"',
     )
@@ -269,10 +270,11 @@ def cmd_detect(args) -> int:
     try:
         with target as out:
             state = MotionState(motion_cfg)
-            zone_state = ZoneState()
+            zone_state = ZoneState(zone_cfg)
             for frame in frames:
                 detection = hybrid_step(state, frame, roi_cfg)
-                safety, events = zone_update(zone_state, detection, zone_cfg)
+                safety, events = zone_update(
+                    zone_state, detection.frame_index, detection.roi.flags, detection.verdict)
                 out.write(record_line(detection, safety))
                 for event in events:
                     out.write(event_line(event))

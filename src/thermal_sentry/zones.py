@@ -22,7 +22,6 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .frame import QUADRANTS, CheckedRecord, QuadrantId
-from .hybrid import Detection
 from .keyvalue import checked, read_settings
 
 
@@ -99,36 +98,43 @@ class ZoneConfig(
 
 
 class ZoneState:
-    """Mutable per-stream occupancy and state-machine memory; `pending[q]`
-    counts the frames in a row whose flag disagrees with q's occupancy."""
+    """Mutable per-stream occupancy and state-machine memory under one
+    `ZoneConfig`, kept from construction on; `pending[q]` counts the frames
+    in a row whose flag disagrees with q's occupancy."""
 
-    __slots__ = ("state", "pending", "occupied", "unlocalized_hold", "demand", "demand_classes")
+    __slots__ = ("_config", "_quadrant_demand", "state", "pending", "occupied", "unlocalized_hold",
+                 "demand")
 
-    def __init__(self) -> None:
+    def __init__(self, config: ZoneConfig = ZoneConfig()) -> None:
+        self._config = config
+        # the state each quadrant demands while occupied, in quadrant order
+        self._quadrant_demand = tuple(_DEMAND[config.zone_class[q]] for q in QUADRANTS)
         self.state = SafetyState.RUN
         self.pending = [0, 0, 0, 0]
         self.occupied: set[QuadrantId] = set()
         self.unlocalized_hold = 0
-        # the state the occupied quadrants demand under the `zone_class`
-        # mapping `demand_classes`; it changes only when occupancy does
-        self.demand = SafetyState.RUN
-        self.demand_classes: Mapping[QuadrantId, ZoneClass] | None = None
+        self.demand = SafetyState.RUN  # what `occupied` demands; moves only with it
+
+    # read-only, so the demand tuple always matches the config
+    config = property(lambda self: self._config)
+    quadrant_demand = property(lambda self: self._quadrant_demand)
 
 
-def zone_update(
-    state: ZoneState, detection: Detection, config: ZoneConfig
-) -> tuple[SafetyState, list[ZoneEvent]]:
+def zone_update(state: ZoneState, frame_index: int, flags: tuple[bool, ...],
+                verdict: bool) -> tuple[SafetyState, list[ZoneEvent]]:
     """Advance occupancy and the safety state by one frame, mutating `state`.
 
-    Returns the state in force after this frame plus the events emitted for
-    it (quadrant transitions first, then the state change, if any).
+    `flags` are the frame's quadrant flags in quadrant order and `verdict`
+    its presence verdict; a positive verdict with no flag set is movement
+    that no quadrant localizes. Returns the state in force after this frame
+    plus the events emitted for it (quadrant transitions first, then the
+    state change, if any).
     """
-    roi = detection.roi
-    index = detection.frame_index
+    config = state._config
     events: list[ZoneEvent] = []
     pending, occupied = state.pending, state.occupied
 
-    for q, flagged in zip(QUADRANTS, roi.flags):
+    for q, flagged in zip(QUADRANTS, flags, strict=True):  # 3 or 5 flags raise
         if flagged == (q in occupied):
             pending[q] = 0
             continue
@@ -137,37 +143,28 @@ def zone_update(
             pending[q] = 0
             if flagged:
                 occupied.add(q)
-                events.append(ZoneEvent(index, ZoneEventKind.ENTERED, quadrant=q))
+                events.append(ZoneEvent(frame_index, ZoneEventKind.ENTERED, quadrant=q))
             else:
                 occupied.discard(q)
-                events.append(ZoneEvent(index, ZoneEventKind.CLEARED, quadrant=q))
+                events.append(ZoneEvent(frame_index, ZoneEventKind.CLEARED, quadrant=q))
 
-    if detection.verdict and not roi.any:
+    if verdict and not any(flags):
         # movement with no quadrant to localize: hold at least Slow for one
         # debounce window starting at this frame
         state.unlocalized_hold = config.debounce_frames
 
-    # `events` holds only quadrant transitions so far; without one the demand
-    # stands unless the classes changed (each ZoneConfig owns a read-only
-    # copy, so the same object holds the same classes)
-    classes = config.zone_class
-    if events or classes is not state.demand_classes:
-        state.demand = max((_DEMAND[classes[q]] for q in occupied), default=SafetyState.RUN)
-        state.demand_classes = classes
+    # `events` holds only quadrant transitions so far: none, no new demand
+    if events:
+        demand = state._quadrant_demand
+        state.demand = max((demand[q] for q in occupied), default=SafetyState.RUN)
     target = state.demand
     if state.unlocalized_hold > 0:
         target = max(target, SafetyState.SLOW)
         state.unlocalized_hold -= 1
 
     if target is not state.state:
-        events.append(
-            ZoneEvent(
-                index,
-                ZoneEventKind.STATE_CHANGED,
-                from_state=state.state,
-                to_state=target,
-            )
-        )
+        events.append(ZoneEvent(frame_index, ZoneEventKind.STATE_CHANGED,
+                                from_state=state.state, to_state=target))
         state.state = target
     return target, events
 

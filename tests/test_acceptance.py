@@ -13,9 +13,9 @@ import pytest
 
 from thermal_sentry.evaluate import ConfusionMatrix, Method, accuracy, run_eval
 from thermal_sentry.frame import QuadrantId, ThermalFrame, load_pgm, write_pgm
-from thermal_sentry.hybrid import Detection, hybrid_step
-from thermal_sentry.motion import MotionConfig, MotionResult, MotionState, motion_step
-from thermal_sentry.roi import RoiResult, roi_analyze
+from thermal_sentry.hybrid import hybrid_step
+from thermal_sentry.motion import MotionConfig, MotionState, motion_step
+from thermal_sentry.roi import roi_analyze
 from thermal_sentry.synth import BlobSpec, SceneSpec, generate, parse_scene, render_frame
 from thermal_sentry.zones import ZoneEventKind, ZoneState, parse_zone_config, zone_update
 
@@ -201,19 +201,11 @@ class TestZoneMachine:
         cfg = parse_zone_config("Q3=critical\ndebounce=3\nclear=3")
 
         def run(flag_frames, total):
-            state = ZoneState()
+            state = ZoneState(cfg)
             log = []
             for i in range(total):
                 flags = tuple(q is QuadrantId.Q3 and i in flag_frames for q in QuadrantId)
-                roi = RoiResult(
-                    frame_mean=0.0,
-                    quadrant_means=(0.0, 0.0, 0.0, 0.0),
-                    flags=flags,
-                    any=any(flags),
-                )
-                motion = MotionResult(False, 0, 1, True)
-                det = Detection(i, roi.any, 1.0, motion, roi)
-                _, events = zone_update(state, det, cfg)
+                _, events = zone_update(state, i, flags, any(flags))
                 log.extend(events)
             return log
 

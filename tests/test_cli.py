@@ -1117,12 +1117,13 @@ class TestPrecedence:
 
 
 class TestPerFrameCalls:
-    """The detect loop's per-frame work stays in C: no frame without a zone
-    event calls a Python function of the enum module (an Enum property or
-    hash) or of numpy's `_methods` (the wrapper behind `ndarray.sum`).
-    Counted calls, not timings, so the check holds on a loaded machine."""
+    """The detect loop's per-frame work stays in C: no frame, with or
+    without zone events, calls a Python function of the enum module (an
+    Enum property or hash) or of numpy's `_methods` (the wrapper behind
+    `ndarray.sum`). Counted calls, not timings, so the check holds on a
+    loaded machine."""
 
-    def test_frames_without_events_call_no_enum_or_numpy_wrapper(self):
+    def test_no_frame_calls_an_enum_or_numpy_wrapper(self):
         import enum
 
         try:
@@ -1137,8 +1138,8 @@ class TestPerFrameCalls:
         spec = SceneSpec(frames=120, width=32, height=24, ambient=60, noise_sigma=1.5, seed=7,
                          blobs=(BlobSpec(900.0, 3.0, ((0, -10.0, 18.0), (30, 24.0, 18.0))),))
         frames = [render_frame(spec, t) for t in range(spec.frames)]
-        zone_cfg = parse_zone_config("Q0=warning\nQ3=critical")
-        motion_state, zone_state = MotionState(), ZoneState()
+        zone_state = ZoneState(parse_zone_config("Q0=warning\nQ3=critical"))
+        motion_state = MotionState()
         watched = {enum.__file__, _methods.__file__}
         calls: list[tuple[str, str]] = []  # (file, function) of each Python call
 
@@ -1146,27 +1147,29 @@ class TestPerFrameCalls:
             if event == "call":
                 calls.append((frame.f_code.co_filename, frame.f_code.co_name))
 
-        # each frame's calls, whether it had zone events, and its state
+        # each frame's calls, its zone events and its state
         per_frame = []
         for frame in frames:
             calls.clear()
             sys.setprofile(profile)
             try:
                 detection = cli.hybrid_step(motion_state, frame)
-                safety, events = cli.zone_update(zone_state, detection, zone_cfg)
+                safety, events = cli.zone_update(zone_state, detection.frame_index,
+                                                 detection.roi.flags, detection.verdict)
                 cli.record_line(detection, safety)
+                for event in events:
+                    cli.event_line(event)
             finally:
                 sys.setprofile(None)
-            per_frame.append((list(calls), bool(events), safety))
+            per_frame.append((list(calls), events, safety))
 
-        # the hook saw the calls, and the person drove the state to Stop
+        # the hook saw the calls, the person drove the state to Stop, and
+        # the event frames, which are checked too, wrote their lines
         assert all(any(name == "hybrid_step" for _, name in seen) for seen, _, _ in per_frame)
         assert SafetyState.STOP in {safety for _, _, safety in per_frame}
-        quiet = {index: seen for index, (seen, had_events, _) in enumerate(per_frame)
-                 if not had_events}
-        assert 0 < len(quiet) < len(frames)
+        assert any(any(name == "event_line" for _, name in seen) for seen, _, _ in per_frame)
         offending = {index: [f"{name} ({file})" for file, name in seen if file in watched]
-                     for index, seen in quiet.items()}
+                     for index, (seen, _, _) in enumerate(per_frame)}
         offending = {index: names for index, names in offending.items() if names}
         assert offending == {}, (
-            f"{len(offending)} of {len(quiet)} frames without a zone event: {offending}")
+            f"{len(offending)} of {len(frames)} frames: {offending}")

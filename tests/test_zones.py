@@ -5,9 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermal_sentry.frame import QuadrantId
-from thermal_sentry.hybrid import Detection
-from thermal_sentry.motion import MotionResult
-from thermal_sentry.roi import RoiResult
 from thermal_sentry.zones import (
     SafetyState,
     ZoneClass,
@@ -20,25 +17,11 @@ from thermal_sentry.zones import (
 )
 
 
-def detection(frame_index, flags=(), verdict=None):
-    """Detection stub carrying only what the zone machine reads."""
-    flag_tuple = tuple(q in flags for q in QuadrantId)
-    roi = RoiResult(
-        frame_mean=0.0,
-        quadrant_means=(0.0, 0.0, 0.0, 0.0),
-        flags=flag_tuple,
-        any=any(flag_tuple),
-    )
-    if verdict is None:
-        verdict = roi.any
-    movement = verdict and not roi.any
-    return Detection(
-        frame_index=frame_index,
-        verdict=verdict,
-        elapsed_us=1.0,
-        motion=MotionResult(movement, 0, 1, not movement),
-        roi=roi,
-    )
+def step(state, frame_index, quadrants=(), verdict=None):
+    """`zone_update` on a frame whose flags are set for `quadrants`; the
+    verdict defaults to whether any is flagged."""
+    flags = tuple(q in quadrants for q in QuadrantId)
+    return zone_update(state, frame_index, flags, any(flags) if verdict is None else verdict)
 
 
 def critical_q3(debounce=3, clear=3):
@@ -67,18 +50,40 @@ class TestConfig:
         # a value the checks would have rejected, put in after they ran
         classes[QuadrantId.Q3] = "critical"
         assert config.zone_class[QuadrantId.Q3] is ZoneClass.IGNORE
-        safety, _ = zone_update(ZoneState(), detection(0, {QuadrantId.Q3}), config)
+        safety, _ = step(ZoneState(config), 0, {QuadrantId.Q3})
         assert safety is SafetyState.RUN
         with pytest.raises(TypeError):
             config.zone_class[QuadrantId.Q3] = ZoneClass.CRITICAL
 
     def test_each_state_starts_fresh(self):
-        first, second = ZoneState(), ZoneState()
         config = critical_q3(debounce=1, clear=2)
-        zone_update(first, detection(0, {QuadrantId.Q0}), config)
-        zone_update(first, detection(1), config)
+        first, second = ZoneState(config), ZoneState(config)
+        step(first, 0, {QuadrantId.Q0})
+        step(first, 1)
         assert first.occupied == {QuadrantId.Q0} and first.pending == [1, 0, 0, 0]
         assert second.occupied == set() and second.pending == [0, 0, 0, 0]
+
+    def test_each_state_follows_its_own_config(self):
+        stop = critical_q3(debounce=2)
+        slow = ZoneConfig({**stop.zone_class, QuadrantId.Q1: ZoneClass.WARNING,
+                           QuadrantId.Q3: ZoneClass.IGNORE}, debounce_frames=2)
+        states = ZoneState(stop), ZoneState(slow), ZoneState()
+        # the same flags for each: Q1 and Q3, occupied from frame 1 on
+        for i in range(2):
+            safeties = [step(state, i, (QuadrantId.Q1, QuadrantId.Q3))[0] for state in states]
+        assert safeties == [SafetyState.STOP, SafetyState.SLOW, SafetyState.RUN]
+
+    def test_demand_is_resolved_once_from_the_config(self):
+        config = critical_q3()
+        state = ZoneState(config)
+        assert state.config is config
+        assert state.quadrant_demand == (SafetyState.RUN,) * 3 + (SafetyState.STOP,)
+        assert ZoneState().quadrant_demand == (SafetyState.RUN,) * 4
+        # read-only: a new config cannot leave the demand it was resolved from
+        with pytest.raises(AttributeError):
+            state.config = ZoneConfig()
+        with pytest.raises(AttributeError):
+            state.quadrant_demand = (SafetyState.RUN,) * 4
 
 
 class TestParse:
@@ -133,19 +138,19 @@ class TestParse:
 class TestStateMachine:
     def test_no_flags_means_run_forever(self):
         cfg = critical_q3()
-        state = ZoneState()
+        state = ZoneState(cfg)
         for i in range(10):
-            safety, events = zone_update(state, detection(i), cfg)
+            safety, events = step(state, i)
             assert safety is SafetyState.RUN
             assert events == []
 
     def test_critical_debounce_enters_stop_on_third_frame(self):
         cfg = critical_q3(debounce=3)
-        state = ZoneState()
+        state = ZoneState(cfg)
         log = []
         for i in range(10, 16):
             flagged = (QuadrantId.Q3,) if i in (10, 11, 12) else ()
-            safety, events = zone_update(state, detection(i, flagged), cfg)
+            safety, events = step(state, i, flagged)
             log.extend(events)
         entered = [e for e in log if e.kind is ZoneEventKind.ENTERED]
         changed = [e for e in log if e.kind is ZoneEventKind.STATE_CHANGED]
@@ -159,11 +164,11 @@ class TestStateMachine:
 
     def test_two_frame_glitch_produces_nothing(self):
         cfg = critical_q3(debounce=3)
-        state = ZoneState()
+        state = ZoneState(cfg)
         log = []
         for i in range(8):
             flagged = (QuadrantId.Q3,) if i in (2, 3) else ()
-            safety, events = zone_update(state, detection(i, flagged), cfg)
+            safety, events = step(state, i, flagged)
             log.extend(events)
             assert safety is SafetyState.RUN
         assert log == []
@@ -172,20 +177,20 @@ class TestStateMachine:
         classes = {q: ZoneClass.IGNORE for q in QuadrantId}
         classes[QuadrantId.Q1] = ZoneClass.WARNING
         cfg = ZoneConfig(zone_class=classes, debounce_frames=2, clear_frames=2)
-        state = ZoneState()
+        state = ZoneState(cfg)
         states = []
         for i in range(6):
-            safety, _ = zone_update(state, detection(i, (QuadrantId.Q1,)), cfg)
+            safety, _ = step(state, i, (QuadrantId.Q1,))
             states.append(safety)
         assert states == [SafetyState.RUN] + [SafetyState.SLOW] * 5
 
     def test_clear_hysteresis_and_single_stop_to_run_transition(self):
         cfg = critical_q3(debounce=2, clear=3)
-        state = ZoneState()
+        state = ZoneState(cfg)
         timeline = []
         for i in range(10):
             flagged = (QuadrantId.Q3,) if i < 4 else ()
-            safety, events = zone_update(state, detection(i, flagged), cfg)
+            safety, events = step(state, i, flagged)
             timeline.append((i, safety, events))
         # occupied at frame 1, flags stop at 4, cleared at 4+3-1=6
         assert timeline[1][1] is SafetyState.STOP
@@ -202,46 +207,41 @@ class TestStateMachine:
 
     def test_flag_interruption_resets_debounce(self):
         cfg = critical_q3(debounce=3)
-        state = ZoneState()
+        state = ZoneState(cfg)
         pattern = [True, True, False, True, True, False]
         for i, flagged in enumerate(pattern):
-            safety, events = zone_update(
-                state, detection(i, (QuadrantId.Q3,) if flagged else ()), cfg
-            )
+            safety, events = step(state, i, (QuadrantId.Q3,) if flagged else ())
             assert events == []
             assert safety is SafetyState.RUN
 
     def test_flag_interruption_resets_clear(self):
         cfg = critical_q3(debounce=1, clear=3)
-        state = ZoneState()
+        state = ZoneState(cfg)
         # occupied at frame 0; the flag at frame 3 restarts the clear count
         pattern = [True, False, False, True, False, False]
         log = []
         for i, flagged in enumerate(pattern):
-            safety, events = zone_update(
-                state, detection(i, (QuadrantId.Q3,) if flagged else ()), cfg
-            )
+            safety, events = step(state, i, (QuadrantId.Q3,) if flagged else ())
             log.extend(events)
             assert safety is SafetyState.STOP
         assert [e.kind for e in log] == [ZoneEventKind.ENTERED, ZoneEventKind.STATE_CHANGED]
         # the third unflagged frame in a row releases the quadrant
-        safety, events = zone_update(state, detection(6), cfg)
+        safety, events = step(state, 6)
         assert safety is SafetyState.RUN
         assert [e.kind for e in events] == [ZoneEventKind.CLEARED, ZoneEventKind.STATE_CHANGED]
 
     def test_movement_only_escalates_to_slow_for_debounce_window(self):
         cfg = critical_q3(debounce=3)
-        state = ZoneState()
+        state = ZoneState(cfg)
         # one unlocalized positive, then quiet
-        sequence = [detection(0, (), verdict=True)] + [detection(i) for i in range(1, 6)]
-        states = [zone_update(state, d, cfg)[0] for d in sequence]
+        states = [step(state, i, verdict=i == 0)[0] for i in range(6)]
         assert states == [SafetyState.SLOW] * 3 + [SafetyState.RUN] * 3
 
     def test_movement_only_never_stops(self):
         cfg = critical_q3()
-        state = ZoneState()
+        state = ZoneState(cfg)
         for i in range(10):
-            safety, _ = zone_update(state, detection(i, (), verdict=True), cfg)
+            safety, _ = step(state, i, (), verdict=True)
             assert safety is SafetyState.SLOW
 
     def test_critical_beats_warning(self):
@@ -252,16 +252,20 @@ class TestStateMachine:
             QuadrantId.Q3: ZoneClass.CRITICAL,
         }
         cfg = ZoneConfig(zone_class=classes, debounce_frames=1, clear_frames=1)
-        state = ZoneState()
-        safety, _ = zone_update(
-            state, detection(0, (QuadrantId.Q0, QuadrantId.Q3)), cfg
-        )
+        state = ZoneState(cfg)
+        safety, _ = step(state, 0, (QuadrantId.Q0, QuadrantId.Q3))
         assert safety is SafetyState.STOP
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_flags_for_other_than_four_quadrants_rejected(self, count):
+        # three flags would leave Q3, critical here, unwatched
+        with pytest.raises(ValueError):
+            zone_update(ZoneState(critical_q3(debounce=1)), 0, (True,) * count, True)
 
     def test_ignored_quadrant_still_emits_occupancy_events(self):
         cfg = critical_q3(debounce=1)
-        state = ZoneState()
-        safety, events = zone_update(state, detection(0, (QuadrantId.Q0,)), cfg)
+        state = ZoneState(cfg)
+        safety, events = step(state, 0, (QuadrantId.Q0,))
         assert safety is SafetyState.RUN  # Q0 is Ignore
         assert [e.kind for e in events] == [ZoneEventKind.ENTERED]
 
@@ -289,12 +293,11 @@ class TestEventReplay:
             debounce_frames=debounce,
             clear_frames=clear,
         )
-        state = ZoneState()
+        state = ZoneState(cfg)
         trajectory = []
         log = []
         for i, (flagged, extra_verdict) in enumerate(stream):
-            det = detection(i, tuple(flagged), verdict=bool(flagged) or extra_verdict)
-            safety, events = zone_update(state, det, cfg)
+            safety, events = step(state, i, flagged, verdict=bool(flagged) or extra_verdict)
             trajectory.append(safety)
             log.extend(events)
 

@@ -14,7 +14,7 @@ import argparse
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 from .frame import replay_dir, replay_files
@@ -228,33 +228,44 @@ def event_line(event: ZoneEvent) -> str:
     )
 
 
-def _open_out(path: str):
-    """The stream for `detect --out`, and the temporary file behind it when
-    it is to replace `path` once the run succeeds (else None).
+@contextmanager
+def _output(path: str | None):
+    """The stream for an `--out` flag's FILE, or stdout when none is given.
 
-    A regular file or a path not there yet is replaced, so a failed run
-    leaves an existing file as it was; the new file gets the mode
-    `open(path, "w")` would give it. Anything else, such as a FIFO or the
-    symlink /dev/stdout, is written in place, and so is a path next to
-    which no temporary file can be created.
+    A regular file or a path not there yet is replaced only once the run
+    succeeds, so a failed run leaves an existing file as it was; the new
+    file gets the mode `open(path, "w")` would give it. Anything else, such
+    as a FIFO or the symlink /dev/stdout, is written in place, and so is a
+    path next to which no temporary file can be created.
     """
+    if path is None:
+        yield sys.stdout
+        return
     try:
         mode = os.lstat(path).st_mode
     except OSError:
         mode = None
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fd = -1
     if mode is None or stat.S_ISREG(mode):
-        directory, name = os.path.split(path)
-        temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-        try:
-            # as for open(path, "w"), a new file is 0o666 less the umask
+        try:  # as for open(path, "w"), a new file is 0o666 less the umask
             fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except OSError:
             pass
-        else:
+    if fd < 0:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
+        return
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as out:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))
-            return os.fdopen(fd, "w", encoding="utf-8"), temp
-    return open(path, "w", encoding="utf-8"), None
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def cmd_detect(args) -> int:
@@ -266,24 +277,16 @@ def cmd_detect(args) -> int:
     zone_cfg = _parse_file(args.zones, parse_zone_config) if args.zones else ZoneConfig()
 
     frames = replay_dir(args.input_dir) if args.input_dir else replay_files(args.frames)
-    target, temp = _open_out(args.out) if args.out else (nullcontext(sys.stdout), None)
-    try:
-        with target as out:
-            state = MotionState(motion_cfg)
-            zone_state = ZoneState(zone_cfg)
-            for frame in frames:
-                detection = hybrid_step(state, frame, roi_cfg)
-                safety, events = zone_update(
-                    zone_state, detection.frame_index, detection.roi.flags, detection.verdict)
-                out.write(record_line(detection, safety))
-                for event in events:
-                    out.write(event_line(event))
-        if temp:
-            os.replace(temp, args.out)
-    except BaseException:
-        if temp:
-            os.unlink(temp)
-        raise
+    with _output(args.out) as out:
+        state = MotionState(motion_cfg)
+        zone_state = ZoneState(zone_cfg)
+        for frame in frames:
+            detection = hybrid_step(state, frame, roi_cfg)
+            safety, events = zone_update(
+                zone_state, detection.frame_index, detection.roi.flags, detection.verdict)
+            out.write(record_line(detection, safety))
+            for event in events:
+                out.write(event_line(event))
     return EXIT_OK
 
 
@@ -334,8 +337,8 @@ def cmd_eval(args) -> int:
     if args.out:
         import json
 
-        Path(args.out).write_text(json.dumps(report_to_dict(report), indent=2) + "\n",
-                                  encoding="utf-8")
+        with _output(args.out) as out:
+            out.write(json.dumps(report_to_dict(report), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -360,16 +363,11 @@ def main(argv: list[str] | None = None) -> int:
     # a config file supplies each setting no flag gave, so that a flag on
     # the command line wins; --config '' names no file
     config_path = os.environ.get(CONFIG_ENV) if args.config is None else args.config
-    if config_path:
-        try:
-            settings = _parse_file(config_path, parse_config)
-        except (OSError, ValueError) as exc:
-            print(f"thermal-sentry: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        for key, value in settings.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
     try:
+        if config_path:
+            for key, value in _parse_file(config_path, parse_config).items():
+                if getattr(args, key, None) is None:
+                    setattr(args, key, value)
         return args.func(args)
     except (OSError, ValueError) as exc:  # every data error class is a ValueError
         print(f"thermal-sentry: {exc}", file=sys.stderr)

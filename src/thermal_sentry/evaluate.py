@@ -38,6 +38,9 @@ class ConfusionMatrix(CheckedRecord, namedtuple("ConfusionMatrix", "tp fp fn tn"
 
     def __new__(cls, tp: int = 0, fp: int = 0, fn: int = 0, tn: int = 0):
         self = super().__new__(cls, tp, fp, fn, tn)
+        # a count is an int, and not a bool
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in self):
+            raise ValueError("confusion counts must be ints")
         if min(self) < 0:
             raise ValueError("confusion counts must be non-negative")
         return self
@@ -65,6 +68,8 @@ class GroundTruthLabel(CheckedRecord, namedtuple(
     def __new__(cls, frame_index: int, human_present: bool,
                 occupied_quadrants: frozenset[QuadrantId] = frozenset()):
         self = super().__new__(cls, frame_index, human_present, occupied_quadrants)
+        if isinstance(frame_index, bool) or not isinstance(frame_index, int):
+            raise ValueError("frame_index must be an int")
         if self.occupied_quadrants and not self.human_present:
             raise ValueError("occupied quadrants require human_present")
         return self
@@ -121,7 +126,8 @@ _PRESENT = {"1": True, "true": True, "0": False, "false": False}
 
 
 def read_labels(path: str | Path) -> list[GroundTruthLabel]:
-    """Read a `frame,present,quadrants` CSV (quadrants `;`-separated).
+    """Read a `frame,present,quadrants` CSV (quadrants `;`-separated). The
+    rows number the frames in replay order: the k-th data row is frame k.
 
     A file holds few distinct `present` and `quadrants` fields, so each is
     parsed once, on the first line that holds it: the line a bad field's
@@ -165,8 +171,8 @@ def read_labels(path: str | Path) -> list[GroundTruthLabel]:
                 except KeyError:
                     raise DatasetError(f"{path}:{lineno}: unknown quadrant {name!r}") from None
             quadrants = quadrant_sets[quadrants_field] = frozenset(occupied)
-        if labels and index <= labels[-1].frame_index:
-            raise DatasetError(f"{path}:{lineno}: frame indices must increase")
+        if index != len(labels):
+            raise DatasetError(f"{path}:{lineno}: expected frame {len(labels)}, got {index}")
         try:
             labels.append(GroundTruthLabel(index, present, quadrants))
         except ValueError as exc:
@@ -202,14 +208,7 @@ def run_eval(
     a_preds, b_preds = [], []
     # three clock readings a frame: before method B, between B and A, after A
     stamps: list[int] = []
-    for count, frame in enumerate(replay_dir(dataset_dir)):
-        if count >= len(labels):
-            raise DatasetError(f"no label for frame {count}")
-        if labels[count].frame_index != count:
-            raise DatasetError(
-                f"label misalignment: expected frame {count}, "
-                f"got {labels[count].frame_index}"
-            )
+    for frame in replay_dir(dataset_dir):
         t0 = clock()
         roi = roi_analyze(frame, roi_config)
         t1 = clock()
@@ -220,10 +219,11 @@ def run_eval(
     count = len(a_preds)
     if count == 0:
         raise DatasetError(f"{dataset_dir}: dataset contains no frames")
+    # read_labels numbers the labels 0, 1, 2, ..., so only the counts can differ
+    if count > len(labels):
+        raise DatasetError(f"{labels_path}: no label for frame {len(labels)}")
     if count < len(labels):
-        raise DatasetError(
-            f"label for frame {labels[count].frame_index} has no frame"
-        )
+        raise DatasetError(f"{labels_path}: label for frame {count} has no frame")
 
     t0, t1, t2 = np.array(stamps, dtype=np.int64).reshape(count, 3).T
     # one list and one latency array per Method, in Method order

@@ -79,7 +79,155 @@ def make_dataset(tmp_path, scene_text, name="scene"):
     return out_dir
 
 
-class TestDetect:
+class OutFlagTests:
+    """`--out FILE` tests, inherited by the class of each command that takes
+    the flag (`command`): `detect` and `eval` write through one writer."""
+
+    command: str
+
+    def argv(self, frames, labels):
+        """A run of the command on a dataset, less the `--out` flag."""
+        if self.command == "detect":
+            return ["detect", "--input-dir", str(frames)]
+        return ["eval", "--input-dir", str(frames), "--labels", str(labels)]
+
+    def content(self, text):
+        """What the command writes to `--out`, less its timings."""
+        if self.command == "detect":
+            return [{k: v for k, v in json.loads(line).items() if k != "elapsed_us"}
+                    for line in text.splitlines()]
+        return {k: v for k, v in json.loads(text).items() if k != "latency_us"}
+
+    def expected(self, capsys, data):
+        """The content a successful `--out` run on `data` writes, taken
+        without the writer: detect's stdout, eval's report as a dict."""
+        if self.command == "detect":
+            code, out, _ = run_cli(capsys, "detect", "--input-dir", str(data))
+            assert code == 0
+            return self.content(out)
+        from thermal_sentry.evaluate import report_to_dict, run_eval
+
+        return self.content(json.dumps(report_to_dict(run_eval(data, data / "labels.csv"))))
+
+    @pytest.mark.parametrize("failure", ["missing input dir", "dimension change"])
+    def test_failed_run_leaves_the_out_file_as_it_was(self, tmp_path, capsys, failure):
+        import numpy as np
+        from thermal_sentry.frame import ThermalFrame, write_pgm
+
+        frames = tmp_path / "frames"
+        labels = tmp_path / "labels.csv"
+        labels.write_text("frame,present,quadrants\n0,0,\n1,0,\n")
+        if failure == "dimension change":  # fails after detect writes a record
+            frames.mkdir()
+            write_pgm(ThermalFrame(4, 4, np.zeros((4, 4), np.uint16)), frames / "a.pgm")
+            write_pgm(ThermalFrame(6, 4, np.zeros((4, 6), np.uint16)), frames / "b.pgm")
+        out_file = tmp_path / "run.out"
+        out_file.write_bytes(b"earlier run\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, _, _ = run_cli(capsys, *self.argv(frames, labels), "--out", str(out_file))
+        assert code == 2
+        assert out_file.read_bytes() == b"earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_successful_run_replaces_the_out_file(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        capsys.readouterr()
+        expected = self.expected(capsys, data)
+        argv = self.argv(data, data / "labels.csv")
+        out_file = tmp_path / "run.out"
+        out_file.write_text("earlier run, longer than nothing\n" * 200)
+        out_file.chmod(0o604)
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        assert self.content(out_file.read_text()) == expected
+        # an existing file keeps its mode, a new one gets 0o666 less the umask
+        assert stat.S_IMODE(out_file.stat().st_mode) == 0o604
+        new_file = tmp_path / "new.out"
+        old_umask = os.umask(0o027)
+        try:
+            code, _, _ = run_cli(capsys, *argv, "--out", str(new_file))
+        finally:
+            os.umask(old_umask)
+        assert code == 0
+        assert self.content(new_file.read_text()) == expected
+        assert stat.S_IMODE(new_file.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "new.out", "run.out", "scene", "scene.scene"
+        ]
+
+    def test_fifo_and_symlink_out_are_written_in_place(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        capsys.readouterr()
+        expected = self.expected(capsys, data)
+        argv = self.argv(data, data / "labels.csv")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader is open, so writing does not block; the output fits the
+        # pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, _ = run_cli(capsys, *argv, "--out", str(fifo))
+            written = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert self.content(written) == expected
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+        target = tmp_path / "target.out"
+        target.write_text("earlier run\n")
+        link = tmp_path / "link.out"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, *argv, "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert self.content(target.read_text()) == expected
+
+    def test_failed_chmod_leaves_no_temp_file_or_descriptor(self, tmp_path, capsys,
+                                                           monkeypatch):
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        out_file = tmp_path / "run.out"
+        out_file.write_bytes(b"earlier run\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def fchmod(fd, mode):
+            raise PermissionError("fchmod refused")
+
+        monkeypatch.setattr(os, "fchmod", fchmod)
+        fds = set(os.listdir("/proc/self/fd"))
+        code, _, err = run_cli(capsys, *self.argv(data, data / "labels.csv"),
+                               "--out", str(out_file))
+        assert code == 2 and "fchmod refused" in err
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert out_file.read_bytes() == b"earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_out_is_written_in_place_when_no_temp_file_can_be_made(
+            self, tmp_path, capsys, monkeypatch):
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        capsys.readouterr()
+        expected = self.expected(capsys, data)
+        out_file = tmp_path / "run.out"
+        out_file.write_bytes(b"earlier run\n")
+        inode = out_file.stat().st_ino
+        real_open = os.open
+
+        def no_temp(path, *args, **kwargs):
+            if str(path).endswith(".tmp"):
+                raise PermissionError(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", no_temp)
+        code, _, _ = run_cli(capsys, *self.argv(data, data / "labels.csv"),
+                             "--out", str(out_file))
+        assert code == 0
+        assert out_file.stat().st_ino == inode
+        assert self.content(out_file.read_text()) == expected
+
+
+class TestDetect(OutFlagTests):
+    command = "detect"
+
     def test_static_scene_all_negative(self, tmp_path, capsys):
         data = make_dataset(tmp_path, STATIC_SCENE)
         capsys.readouterr()
@@ -221,93 +369,6 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         assert len(lines) == 10
         assert all(json.loads(line) for line in lines)
 
-    @pytest.mark.parametrize("failure", ["missing input dir", "dimension change"])
-    def test_failed_run_leaves_the_out_file_as_it_was(self, tmp_path, capsys, failure):
-        import numpy as np
-        from thermal_sentry.frame import ThermalFrame, write_pgm
-
-        frames = tmp_path / "frames"
-        if failure == "dimension change":  # fails after a record is written
-            frames.mkdir()
-            write_pgm(ThermalFrame(4, 4, np.zeros((4, 4), np.uint16)), frames / "a.pgm")
-            write_pgm(ThermalFrame(6, 4, np.zeros((4, 6), np.uint16)), frames / "b.pgm")
-        out_file = tmp_path / "run.ndjson"
-        out_file.write_bytes(b"earlier run\n")
-        code, _, _ = run_cli(
-            capsys, "detect", "--input-dir", str(frames), "--out", str(out_file)
-        )
-        assert code == 2
-        assert out_file.read_bytes() == b"earlier run\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["run.ndjson"] + (["frames"] if frames.exists() else [])
-        )
-
-    def test_successful_run_replaces_the_out_file(self, tmp_path, capsys):
-        data = make_dataset(tmp_path, STATIC_SCENE)
-        capsys.readouterr()
-        code, expected, _ = run_cli(capsys, "detect", "--input-dir", str(data))
-        assert code == 0
-        out_file = tmp_path / "run.ndjson"
-        out_file.write_text("earlier run, longer than nothing\n" * 200)
-        out_file.chmod(0o604)
-        code, _, _ = run_cli(
-            capsys, "detect", "--input-dir", str(data), "--out", str(out_file)
-        )
-        assert code == 0
-
-        def strip_elapsed(text):
-            return [{k: v for k, v in json.loads(line).items() if k != "elapsed_us"}
-                    for line in text.splitlines()]
-
-        assert strip_elapsed(out_file.read_text()) == strip_elapsed(expected)
-        # an existing file keeps its mode, a new one gets 0o666 less the umask
-        assert stat.S_IMODE(out_file.stat().st_mode) == 0o604
-        new_file = tmp_path / "new.ndjson"
-        old_umask = os.umask(0o027)
-        try:
-            code, _, _ = run_cli(
-                capsys, "detect", "--input-dir", str(data), "--out", str(new_file)
-            )
-        finally:
-            os.umask(old_umask)
-        assert code == 0
-        assert stat.S_IMODE(new_file.stat().st_mode) == 0o640
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "new.ndjson", "run.ndjson", "scene", "scene.scene"
-        ]
-
-    def test_fifo_and_symlink_out_are_written_in_place(self, tmp_path, capsys):
-        data = make_dataset(tmp_path, STATIC_SCENE)
-        capsys.readouterr()
-        code, expected, _ = run_cli(capsys, "detect", "--input-dir", str(data))
-        assert code == 0
-        fifo = tmp_path / "fifo"
-        os.mkfifo(fifo)
-        # a reader is open, so writing does not block; the records fit the
-        # pipe's buffer
-        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-        try:
-            code, _, _ = run_cli(
-                capsys, "detect", "--input-dir", str(data), "--out", str(fifo)
-            )
-            written = os.read(reader, 1 << 16).decode()
-        finally:
-            os.close(reader)
-        assert code == 0
-        assert len(written.splitlines()) == len(expected.splitlines())
-        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
-
-        target = tmp_path / "target.ndjson"
-        target.write_text("earlier run\n")
-        link = tmp_path / "link.ndjson"
-        link.symlink_to(target)
-        code, _, _ = run_cli(
-            capsys, "detect", "--input-dir", str(data), "--out", str(link)
-        )
-        assert code == 0
-        assert link.is_symlink()
-        assert len(target.read_text().splitlines()) == len(expected.splitlines())
-
     def test_movement_fields_are_set_on_every_record(self, tmp_path, capsys):
         # both detectors run on every frame, so a frame the quadrant method
         # flagged still reports what the movement method saw
@@ -429,7 +490,9 @@ blob=900,2,human,0:8:6,10:8:6,16:-40:6
         assert "b.pgm: dimension change mid-stream" in err
 
 
-class TestEval:
+class TestEval(OutFlagTests):
+    command = "eval"
+
     def test_end_to_end_report(self, tmp_path, capsys):
         data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
         report_file = tmp_path / "report.json"
@@ -475,7 +538,7 @@ class TestEval:
             capsys, "eval", "--input-dir", str(data), "--labels", str(labels)
         )
         assert code == 2
-        assert "frame 5" in err
+        assert err == f"thermal-sentry: {labels}: no label for frame 5\n"
 
     def test_requires_dataset_or_cells(self, capsys):
         code, _, err = run_cli(capsys, "eval")

@@ -51,6 +51,15 @@ class TestAccuracy:
     def test_total(self):
         assert ConfusionMatrix(1, 2, 3, 4).total == 10
 
+    @pytest.mark.parametrize("cells", [(1.5, 0, 0, 0), (True, False, False, False),
+                                       (1, 2, 3, 4.0), ("1", 0, 0, 0)],
+                             ids=["float", "bool", "last_float", "str"])
+    def test_non_int_count_rejected(self, cells):
+        with pytest.raises(ValueError, match="must be ints"):
+            ConfusionMatrix(*cells)
+        with pytest.raises(ValueError, match="must be ints"):
+            ConfusionMatrix(1, 1, 1, 1)._replace(tp=cells[0], tn=cells[3])
+
 
 class TestConfusion:
     def test_one_of_each(self):
@@ -89,6 +98,16 @@ class TestConfusion:
         labels = [GroundTruthLabel(1, True), GroundTruthLabel(0, True)]
         with pytest.raises(DatasetError, match="order"):
             confusion([True, True], labels)
+
+
+class TestGroundTruthLabel:
+    @pytest.mark.parametrize("index", [1.5, True, "1", None],
+                             ids=["float", "bool", "str", "None"])
+    def test_non_int_frame_index_rejected(self, index):
+        with pytest.raises(ValueError, match="frame_index must be an int"):
+            GroundTruthLabel(index, True)
+        with pytest.raises(ValueError, match="frame_index must be an int"):
+            GroundTruthLabel(0, True)._replace(frame_index=index)
 
 
 class TestLabelsCsv:
@@ -130,8 +149,22 @@ class TestLabelsCsv:
     def test_duplicate_frame_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("frame,present,quadrants\n0,1,\n0,0,\n")
-        with pytest.raises(DatasetError, match="increase"):
+        with pytest.raises(DatasetError) as caught:
             read_labels(path)
+        assert str(caught.value) == f"{path}:3: expected frame 1, got 0"
+
+    # the k-th data row is frame k: rows number the frames in replay order
+    @pytest.mark.parametrize("body, line, expected, got", [
+        ("0,1,\n2,0,\n", 3, 1, 2),  # a gap
+        ("1,1,\n2,0,\n", 2, 0, 1),  # a start at 1
+        ("0,1,\n\n1,0,\n3,0,\n", 5, 2, 3),  # a blank line is no row
+    ], ids=["gap", "start_at_1", "after_a_blank_line"])
+    def test_rows_number_the_frames(self, tmp_path, body, line, expected, got):
+        path = tmp_path / "bad.csv"
+        path.write_text("frame,present,quadrants\n" + body)
+        with pytest.raises(DatasetError) as caught:
+            read_labels(path)
+        assert str(caught.value) == f"{path}:{line}: expected frame {expected}, got {got}"
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +232,23 @@ class TestRunEval:
             assert stats.max_us >= stats.mean_us > 0
             assert stats.p99_us > 0
 
-    def test_missing_label_named(self, static_human_dataset, tmp_path):
+    def test_missing_label_named(self, static_human_dataset, tmp_path, monkeypatch):
         ds = static_human_dataset
         labels = read_labels(ds.labels_path)[:-1]
         short = tmp_path / "short.csv"
         write_labels(labels, short)
-        with pytest.raises(DatasetError, match="frame 39"):
+        analyzed = []
+
+        def counted(frame, config):
+            analyzed.append(frame.frame_index)
+            return roi_analyze(frame, config)
+
+        monkeypatch.setattr(evaluate, "roi_analyze", counted)
+        # the replay runs to its end, then the count check names the file
+        with pytest.raises(DatasetError) as caught:
             run_eval(ds.directory, short)
+        assert str(caught.value) == f"{short}: no label for frame 39"
+        assert analyzed == list(range(40))
 
     def test_extra_label_rejected(self, static_human_dataset, tmp_path):
         ds = static_human_dataset
@@ -213,8 +256,9 @@ class TestRunEval:
         labels.append(GroundTruthLabel(40, False))
         long = tmp_path / "long.csv"
         write_labels(labels, long)
-        with pytest.raises(DatasetError, match="frame 40"):
+        with pytest.raises(DatasetError) as caught:
             run_eval(ds.directory, long)
+        assert str(caught.value) == f"{long}: label for frame 40 has no frame"
 
     def test_empty_dataset_rejected(self, tmp_path, static_human_dataset):
         empty = tmp_path / "none"

@@ -163,8 +163,7 @@ class TestLabelsReader:
             assert str(exc).startswith(f"{path}")
             return
         assert all(isinstance(label, GroundTruthLabel) for label in labels)
-        indices = [label.frame_index for label in labels]
-        assert indices == sorted(set(indices))
+        assert [label.frame_index for label in labels] == list(range(len(labels)))
 
     # Files for the oracle: most rows carry their own row number as the frame
     # index, so a file gets past its first rows and repeats fields, bad ones
@@ -238,8 +237,8 @@ def per_row_labels(path):
                 quadrants.add(QuadrantId[name.upper()])
             except KeyError:
                 raise DatasetError(f"{path}:{lineno}: unknown quadrant {name!r}") from None
-        if labels and index <= labels[-1].frame_index:
-            raise DatasetError(f"{path}:{lineno}: frame indices must increase")
+        if index != len(labels):
+            raise DatasetError(f"{path}:{lineno}: expected frame {len(labels)}, got {index}")
         try:
             labels.append(GroundTruthLabel(index, present, frozenset(quadrants)))
         except ValueError as exc:

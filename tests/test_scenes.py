@@ -2,17 +2,18 @@
 
 Each `scenes/<scene>.scene` here is a background-maintenance failure of
 Method A: burn-in (the first frame, Method A's own background, holds a
-person who then leaves) and light switch (an ambient step of about 30
-counts). `tests/data/<scene>_golden.json` pins what the commands do on it,
-with default flags and with `--max-hold-frames 30`:
+person who then leaves), light switch (an ambient step of about 30
+counts) and slow entry (a slow walk-in is absorbed into the background and
+leaves a ghost after the exit). `tests/data/<scene>_golden.json` pins what
+the commands do on it, with default flags and with `--max-hold-frames 30`:
 
 - the three confusion matrices of `eval --out`;
 - `verdict_sha256`, the sha256 of `detect`'s verdicts written as one ASCII
   "1" or "0" per frame;
-- `states`, `detect`'s zone state per frame under the zone file of README's
-  command-line example, as [state, frames] runs.
+- `states`, `detect`'s zone state per frame under the scene's zone file
+  (`ZONES`), as [state, frames] runs.
 
-The goldens pin the current behaviour, weak spots included: on both scenes
+The goldens pin the current behaviour, weak spots included: on every scene
 Method A stays positive on frames without a person until a hold limit
 forces a background refresh. Each run also checks that the hybrid is the
 union of the two methods (acceptance C6) and that `detect` and `eval`
@@ -32,8 +33,14 @@ from thermal_sentry.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
-# the zone file of README's command-line example
-ZONES = "Q0=warning\nQ3=critical\ndebounce=3\n"
+# each scene's zone file: README's command-line example, and one that makes
+# Q2 a warning zone for the slow entry, which crosses Q2 and then Q3
+README_ZONES = "Q0=warning\nQ3=critical\ndebounce=3\n"
+ZONES = {
+    "burn_in": README_ZONES,
+    "light_switch": README_ZONES,
+    "slow_entry": "Q2=warning\nQ3=critical\ndebounce=3\n",
+}
 RUNS = {"default": [], "max_hold_30": ["--max-hold-frames", "30"]}
 
 
@@ -68,7 +75,7 @@ def observe(dataset, zones, flags):
     }
 
 
-@pytest.fixture(scope="module", params=["burn_in", "light_switch"])
+@pytest.fixture(scope="module", params=list(ZONES))
 def scene(request, tmp_path_factory):
     """(name, dataset directory, zone file, golden) of one scene."""
     name = request.param
@@ -77,14 +84,14 @@ def scene(request, tmp_path_factory):
     assert main(["synth", "--scene", str(REPO / "scenes" / f"{name}.scene"),
                  "--out-dir", str(dataset)]) == 0
     zones = work / "zones.cfg"
-    zones.write_text(ZONES)
+    zones.write_text(ZONES[name])
     return name, dataset, zones, json.loads((DATA / f"{name}_golden.json").read_text())
 
 
 @pytest.mark.parametrize("run", RUNS)
 def test_scene_matches_its_golden(scene, run):
     name, dataset, zones, golden = scene
-    assert golden["scene"] == f"scenes/{name}.scene" and golden["zones"] == ZONES
+    assert golden["scene"] == f"scenes/{name}.scene" and golden["zones"] == ZONES[name]
     assert len(list(dataset.glob("*.pgm"))) == golden["frames"] <= 200
     expected = golden["runs"][run]
     assert expected["flags"] == RUNS[run]

@@ -236,7 +236,10 @@ def _output(path: str | None):
     succeeds, so a failed run leaves an existing file as it was; the new
     file gets the mode `open(path, "w")` would give it. Anything else, such
     as a FIFO or the symlink /dev/stdout, is written in place, and so is a
-    path next to which no temporary file can be created.
+    path next to which no temporary file can be created. The temporary file
+    is `.NAME.PID.tmp` next to the target, or `.NAME.PID.N.tmp` when a file,
+    such as one left by a killed process that had the same pid, holds that
+    name.
     """
     if path is None:
         yield sys.stdout
@@ -245,14 +248,19 @@ def _output(path: str | None):
         mode = os.lstat(path).st_mode
     except OSError:
         mode = None
-    directory, name = os.path.split(path)
-    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     fd = -1
     if mode is None or stat.S_ISREG(mode):
-        try:  # as for open(path, "w"), a new file is 0o666 less the umask
-            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        except OSError:
-            pass
+        directory, name = os.path.split(path)
+        stem = os.path.join(directory, f".{name}.{os.getpid()}")
+        for attempt in range(100):  # all taken: the file is written in place
+            temp = f"{stem}.{attempt}.tmp" if attempt else f"{stem}.tmp"
+            try:  # as for open(path, "w"), a new file is 0o666 less the umask
+                fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                pass
+            except OSError:
+                break
     if fd < 0:
         with open(path, "w", encoding="utf-8") as out:
             yield out
@@ -333,12 +341,13 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
     motion_cfg, roi_cfg = _detector_configs(args)
     report = run_eval(args.input_dir, args.labels, motion_cfg, roi_cfg)
-    print(format_report(report))
+    # an --out that cannot be written fails the run before any report is printed
     if args.out:
         import json
 
         with _output(args.out) as out:
             out.write(json.dumps(report_to_dict(report), indent=2) + "\n")
+    print(format_report(report))
     return EXIT_OK
 
 

@@ -70,6 +70,9 @@ class GroundTruthLabel(CheckedRecord, namedtuple(
         self = super().__new__(cls, frame_index, human_present, occupied_quadrants)
         if isinstance(frame_index, bool) or not isinstance(frame_index, int):
             raise ValueError("frame_index must be an int")
+        # any other value would be scored by its truth: 0 or "no" as present
+        if not isinstance(human_present, bool):
+            raise ValueError("human_present must be a bool")
         if self.occupied_quadrants and not self.human_present:
             raise ValueError("occupied quadrants require human_present")
         return self

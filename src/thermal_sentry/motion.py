@@ -10,6 +10,17 @@ of a stream has nothing to be compared against and is its own background:
 none of its pixels is active, so it is a quiet frame and seeds the
 background. Static heat sources never move relative to the background and
 are therefore ignored after the first frame.
+
+A held background is compared against every frame of its hold, so from its
+second comparison on, the stream keeps one frame-sized uint16 array for it,
+`floor = background - r` with `r = active_pixel_delta - 1`: 38 KB at
+160x120, 614 KB at 640x480, dropped when the background is replaced. A
+pixel p is then inactive exactly when the wrapping uint16 difference
+`p - floor` is at most `2r`, one subtraction and one comparison in place of
+`abs_diff` and a threshold. That is exact when every background pixel lies
+in `[r, MAX_COUNT - r]`: then no `floor` wraps below 0, and a `p` below
+`floor` wraps to at least `2r + 1`. A background outside that range, which
+every background is once `active_pixel_delta > 32768`, keeps `abs_diff`.
 """
 
 from __future__ import annotations
@@ -74,12 +85,31 @@ class MotionState:
     """Mutable per-stream detector state. One instance per frame stream;
     not safe for concurrent mutation."""
 
-    __slots__ = ("config", "background", "frames_since_update")
+    __slots__ = ("config", "background", "frames_since_update", "held")
 
     def __init__(self, config: MotionConfig = MotionConfig()) -> None:
         self.config = config
         self.background: ThermalFrame | None = None
         self.frames_since_update = 0
+        # `_held_floor` of the held background, once it has been compared
+        # a second time
+        self.held: tuple[ThermalFrame, np.ndarray | None, int] | None = None
+
+
+def _held_floor(
+    background: ThermalFrame, delta: int
+) -> tuple[ThermalFrame, np.ndarray | None, int]:
+    """`(background, floor, 2r)` with `r = delta - 1` and `floor` the
+    background's pixels less r, or None when a pixel lies outside
+    `[r, MAX_COUNT - r]`, where the wrapping comparison would not be exact
+    (see the module docstring). The range is checked with the ufuncs'
+    reductions, which call no Python code."""
+    r = delta - 1
+    pixels = background.pixels
+    if (np.minimum.reduce(pixels, axis=None) >= r
+            and np.maximum.reduce(pixels, axis=None) <= MAX_COUNT - r):
+        return background, pixels - r, 2 * r
+    return background, None, 2 * r
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -105,22 +135,29 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
     cfg = state.config
     required = required_active_count(cfg.active_fraction, frame.width * frame.height)
     background = frame if state.background is None else state.background
-    diff = abs_diff(frame, background)
-    active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
+    floor = None
+    if state.frames_since_update:  # a held background, compared before
+        held = state.held
+        if held is None or held[0] is not background:
+            held = state.held = _held_floor(background, cfg.active_pixel_delta)
+        _, floor, span = held
+    pixels = frame.pixels
+    # a frame of other dimensions goes to abs_diff, which reports it
+    if floor is not None and pixels.shape == floor.shape:
+        active = pixels.size - int(np.count_nonzero((pixels - floor) <= span))
+    else:
+        diff = abs_diff(frame, background)
+        active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
     movement = active >= required
 
     forced = False
-    if not movement:
+    if movement:
+        state.frames_since_update += 1
+        forced = (cfg.max_hold_frames is not None
+                  and state.frames_since_update > cfg.max_hold_frames)
+    if not movement or forced:
         state.background = frame
         state.frames_since_update = 0
-    else:
-        state.frames_since_update += 1
-        if (
-            cfg.max_hold_frames is not None
-            and state.frames_since_update > cfg.max_hold_frames
-        ):
-            state.background = frame
-            state.frames_since_update = 0
-            forced = True
+        state.held = None
 
     return MotionResult(movement, active, required, not movement or forced, forced)

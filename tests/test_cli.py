@@ -129,6 +129,36 @@ class OutFlagTests:
         assert out_file.read_bytes() == b"earlier run\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
+    def test_stale_temp_file_does_not_make_the_run_write_in_place(self, tmp_path, capsys):
+        import numpy as np
+        from thermal_sentry.frame import ThermalFrame
+
+        data = make_dataset(tmp_path, STATIC_SCENE)
+        capsys.readouterr()
+        expected = self.expected(capsys, data)
+        bad = tmp_path / "bad"  # fails after detect writes a record
+        bad.mkdir()
+        write_pgm(ThermalFrame(4, 4, np.zeros((4, 4), np.uint16)), bad / "a.pgm")
+        write_pgm(ThermalFrame(6, 4, np.zeros((4, 6), np.uint16)), bad / "b.pgm")
+        out_file = tmp_path / "run.out"
+        out_file.write_bytes(b"earlier run\n")
+        # the temporary name this process tries first, as a killed run of a
+        # process that had the same pid leaves it
+        stale = tmp_path / f".run.out.{os.getpid()}.tmp"
+        stale.write_bytes(b"stale\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        code, _, _ = run_cli(capsys, *self.argv(bad, data / "labels.csv"), "--out", str(out_file))
+        assert code == 2
+        assert out_file.read_bytes() == b"earlier run\n"
+        inode = out_file.stat().st_ino
+        code, _, _ = run_cli(capsys, *self.argv(data, data / "labels.csv"),
+                             "--out", str(out_file))
+        assert code == 0
+        assert self.content(out_file.read_text()) == expected
+        assert out_file.stat().st_ino != inode  # replaced, not written in place
+        assert stale.read_bytes() == b"stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_successful_run_replaces_the_out_file(self, tmp_path, capsys):
         data = make_dataset(tmp_path, STATIC_SCENE)
         capsys.readouterr()
@@ -508,6 +538,16 @@ class TestEval(OutFlagTests):
         assert "frames evaluated: 6" in out
         payload = json.loads(report_file.read_text())
         assert payload["frames_evaluated"] == 6
+
+    def test_unwritable_out_fails_before_the_report_is_printed(self, tmp_path, capsys):
+        data = make_dataset(tmp_path, HOT_QUADRANT_SCENE)
+        capsys.readouterr()
+        out_file = tmp_path / "no-such-dir" / "r.json"
+        code, out, err = run_cli(capsys, "eval", "--input-dir", str(data),
+                                 "--labels", str(data / "labels.csv"), "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert str(out_file) in err
 
     def test_cells_mode_prints_96_5(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--cells", "1027,11,28,48")
@@ -1184,7 +1224,8 @@ class TestPerFrameCalls:
     without zone events, calls a Python function of the enum module (an
     Enum property or hash) or of numpy's `_methods` (the wrapper behind
     `ndarray.sum`). Counted calls, not timings, so the check holds on a
-    loaded machine."""
+    loaded machine. The scene holds Method A's background, so the frames
+    checked are mostly compared through its floor."""
 
     def test_no_frame_calls_an_enum_or_numpy_wrapper(self):
         import enum
@@ -1231,6 +1272,11 @@ class TestPerFrameCalls:
         assert all(any(name == "hybrid_step" for _, name in seen) for seen, _, _ in per_frame)
         assert SafetyState.STOP in {safety for _, _, safety in per_frame}
         assert any(any(name == "event_line" for _, name in seen) for seen, _, _ in per_frame)
+        # the person holds Method A's background, which builds its floor
+        # once, and most frames are compared through it, without abs_diff
+        called = [[name for _, name in seen] for seen, _, _ in per_frame]
+        assert sum(names.count("_held_floor") for names in called) == 1
+        assert sum("abs_diff" not in names for names in called) > len(frames) // 2
         offending = {index: [f"{name} ({file})" for file, name in seen if file in watched]
                      for index, (seen, _, _) in enumerate(per_frame)}
         offending = {index: names for index, names in offending.items() if names}

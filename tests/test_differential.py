@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermal_sentry import frame as frame_module
+from thermal_sentry import motion as motion_module
 from thermal_sentry.cli import event_line, record_line
 from thermal_sentry.frame import (
     QUADRANTS,
@@ -269,15 +271,37 @@ def block_with_sum(shape, total, rng):
     return values.reshape(shape)
 
 
+def held_run(rng, width, height, length, delta):
+    """A stream that holds its first frame as Method A's background: it
+    starts mid-range, and each later frame moves most pixels by delta - 1,
+    delta or delta + 1, up or down from that first frame, so that the frames
+    show movement and their active counts turn on the threshold. Whether the
+    background lies where motion keeps a floor for it depends on delta and
+    on the spread of the start, so both outcomes occur."""
+    spread = int(rng.choice([2, 1000, 20000]))
+    first = rng.integers(32768 - spread, 32768 + spread, size=(height, width))
+    stream = [first]
+    for _ in range(length - 1):
+        change = rng.choice([-1, 1], size=(height, width)) * (
+            delta + rng.integers(-1, 2, size=(height, width)))
+        moved = rng.random((height, width)) < 0.9
+        stream.append(np.clip(first + change * moved, 0, 65535))
+    return [ThermalFrame(width, height, pixels.astype(np.uint16), t)
+            for t, pixels in enumerate(stream)]
+
+
 @st.composite
-def frame_streams(draw):
+def frame_streams(draw, delta=None):
     """A short stream of same-sized frames: a random start, then each frame a
     random perturbation of the last, so diffs land on both sides of any
-    threshold."""
+    threshold. Given a movement threshold `delta`, half the streams are a
+    `held_run` instead."""
     width, height = draw(even), draw(even)
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     length = draw(st.integers(1, 8))
+    if delta is not None and draw(st.booleans()):
+        return held_run(rng, width, height, length, delta)
     spread = draw(st.sampled_from([3, 40, 65535]))
     high = draw(st.sampled_from([2, 100, 65536]))
     base = rng.integers(0, high, size=(height, width), dtype=np.int64)
@@ -343,15 +367,23 @@ class TestRoiAgainstReference:
 # ---------------------------------------------------------------- motion
 
 
+def in_floor_range(background, delta):
+    """Whether motion may compare against `background` through its floor:
+    every pixel within [delta - 1, 65535 - (delta - 1)]."""
+    r = delta - 1
+    return all(r <= int(p) <= 65535 - r for p in background.pixels.ravel())
+
+
 class TestMotionAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(
-        frames=frame_streams(),
+        data=st.data(),
         delta=st.integers(1, 65535),
         fraction=fractions,
         hold=st.one_of(st.none(), st.integers(1, 4)),
     )
-    def test_random_streams_and_configs(self, frames, delta, fraction, hold):
+    def test_random_streams_and_configs(self, data, delta, fraction, hold):
+        frames = data.draw(frame_streams(delta))
         cfg = MotionConfig(
             active_pixel_delta=delta, active_fraction=fraction, max_hold_frames=hold
         )
@@ -377,18 +409,74 @@ class TestMotionAgainstReference:
         hit = rng.permutation(background.size)[:count]
         sign = rng.choice([-1, 1], size=count)
         frame[hit] = base + sign * (delta + rng.integers(0, 3, size=count))
-        stream = [
-            ThermalFrame(160, 120, background.reshape(120, 160), 0),
-            ThermalFrame(160, 120, frame.reshape(120, 160), 1),
-        ]
+        first, mover, last = (
+            ThermalFrame(160, 120, pixels.reshape(120, 160), t)
+            for t, pixels in enumerate([background, background + delta, frame]))
+        # against a fresh background, and against a held one, which lies in
+        # its floor's range: abs_diff compares the first two frames of each
+        # stream only, so the held one's last frame goes through the floor
         cfg = MotionConfig(active_pixel_delta=delta)
-        state, ref = MotionState(cfg), ReferenceMotionState(cfg)
-        for f in stream:
-            got = motion_step(state, f)
-            assert got == reference_motion_step(ref, f)
-        assert got.required_count == 960
-        assert got.active_count == count
-        assert got.movement is (count >= 960)
+        for stream in ([first, last], [first, mover, last]):
+            state, ref = MotionState(cfg), ReferenceMotionState(cfg)
+            with mock.patch.object(motion_module, "abs_diff", wraps=frame_module.abs_diff) as spy:
+                for f in stream:
+                    got = motion_step(state, f)
+                    assert got == reference_motion_step(ref, f)
+            assert spy.call_count == 2
+            assert got.required_count == 960
+            assert got.active_count == count
+            assert got.movement is (count >= 960)
+
+    @pytest.mark.parametrize("hold", [None, 2])
+    @pytest.mark.parametrize("end", ["low", "high"])
+    @pytest.mark.parametrize("delta", [1, 2, 32767, 32768, 32769, 65535])
+    def test_held_backgrounds_at_the_ends_of_the_floor_range(self, delta, end, hold):
+        # a held background one count outside the floor's range, at its end
+        # and one count inside, near 0 or near 65535; each held frame's
+        # pixels land on the threshold either way, on 0 or on 65535. A hold
+        # limit of 2 forces a refresh, and the next hold starts over.
+        r = delta - 1
+        rng = np.random.default_rng(delta)
+        cfg = MotionConfig(active_pixel_delta=delta, max_hold_frames=hold)
+        floor_compares = 0
+        for nudge in (-1, 0, 1):
+            level = min(max(r + nudge if end == "low" else 65535 - r - nudge, 0), 65535)
+            background = np.full((6, 8), level)
+            # every pixel as far from the background as it can be
+            stream = [background, np.full((6, 8), 0 if level > 32767 else 65535)]
+            steps = np.array([-delta - 1, -delta, -delta + 1, -1, 0, 1,
+                              delta - 1, delta, delta + 1, -65535, 65535])
+            for _ in range(8):
+                stream.append(level + rng.choice(steps, size=(6, 8)))
+            state, ref = MotionState(cfg), ReferenceMotionState(cfg)
+            for t, pixels in enumerate(stream):
+                f = ThermalFrame(8, 6, np.clip(pixels, 0, 65535), t)
+                fresh = state.frames_since_update == 0
+                held = state.background
+                with mock.patch.object(motion_module, "abs_diff",
+                                       wraps=frame_module.abs_diff) as spy:
+                    assert motion_step(state, f) == reference_motion_step(ref, f)
+                assert state.background is ref.background
+                assert state.frames_since_update == ref.frames_since_update
+                # abs_diff compares a fresh background and one out of range
+                assert spy.call_count == (fresh or not in_floor_range(held, delta))
+                floor_compares += spy.call_count == 0
+        # from delta 32769 on no background is in range; below it one at
+        # the end of the range is
+        assert (floor_compares > 0) is (delta <= 32768)
+
+    def test_held_runs_reach_both_sides_of_the_floor_range(self):
+        rng = np.random.default_rng(2024)
+        with mock.patch.object(motion_module, "_held_floor",
+                               wraps=motion_module._held_floor) as spy:
+            for _ in range(40):
+                delta = int(rng.integers(1, 65536))
+                state = MotionState(MotionConfig(active_pixel_delta=delta))
+                for f in held_run(rng, 8, 6, 4, delta):
+                    motion_step(state, f)
+        outcomes = {in_floor_range(background, delta) for (background, delta), _ in
+                    spy.call_args_list}
+        assert outcomes == {True, False}
 
 
 # ---------------------------------------------------------------- zone machine

@@ -109,6 +109,15 @@ class TestGroundTruthLabel:
         with pytest.raises(ValueError, match="frame_index must be an int"):
             GroundTruthLabel(0, True)._replace(frame_index=index)
 
+    # any of these would be scored by its truth: "no" as a present human
+    @pytest.mark.parametrize("present", [0, 1, "no", "", None, np.True_],
+                             ids=["0", "1", "no", "empty", "None", "numpy-bool"])
+    def test_non_bool_human_present_rejected(self, present):
+        with pytest.raises(ValueError, match="human_present must be a bool"):
+            GroundTruthLabel(0, present)
+        with pytest.raises(ValueError, match="human_present must be a bool"):
+            GroundTruthLabel(0, True)._replace(human_present=present)
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):

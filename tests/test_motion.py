@@ -1,18 +1,25 @@
+import itertools
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermal_sentry.frame import ThermalFrame
+from thermal_sentry import motion
+from thermal_sentry.frame import ThermalFrame, abs_diff
 from thermal_sentry.motion import (
     MotionConfig,
     MotionState,
     motion_step,
     required_active_count,
 )
+from thermal_sentry.synth import parse_scene, render_frame
 from conftest import uniform_frame
+
+REFERENCE_SCENE = Path(__file__).resolve().parent.parent / "scenes" / "reference.scene"
 
 
 def frame_with_actives(width, height, base, delta, count, frame_index=0):
@@ -99,11 +106,16 @@ class TestMotionStep:
         assert state.background is frame
 
     def test_960_active_pixels_is_movement_959_is_not(self):
+        # against a fresh background, and against a held one compared a
+        # second time, through its floor
         width, height, delta = 160, 120, 20
-        for count, expect in [(960, True), (959, False)]:
+        for (count, expect), held in itertools.product([(960, True), (959, False)],
+                                                       [False, True]):
             state = MotionState()
             motion_step(state, uniform_frame(width, height, 1000))
-            frame = frame_with_actives(width, height, 1000, delta, count, frame_index=1)
+            if held:
+                assert motion_step(state, uniform_frame(width, height, 1100, 1)).movement
+            frame = frame_with_actives(width, height, 1000, delta, count, frame_index=2)
             # independent oracle: count pixels differing by >= delta
             oracle = sum(
                 1
@@ -177,6 +189,47 @@ class TestMotionStep:
         # rejected before any state is written
         assert state.background is background
         assert state.frames_since_update == 1
+
+    def test_held_background_and_a_frame_of_other_dimensions(self):
+        # the background is in its floor's range and held; a frame of other
+        # dimensions still gets abs_diff's message, before and after the
+        # floor is built
+        for held_frames in (1, 2):
+            state = MotionState()
+            background = uniform_frame(4, 4, 1000)
+            motion_step(state, background)
+            for t in range(held_frames):
+                assert motion_step(state, uniform_frame(4, 4, 1100, frame_index=t + 1)).movement
+            with pytest.raises(ValueError, match="dimension mismatch: 6x4 vs 4x4"):
+                motion_step(state, uniform_frame(6, 4, 1000))
+            assert state.background is background
+            assert state.frames_since_update == held_frames
+
+    @pytest.mark.parametrize("replaced_by", ["quiet frame", "forced refresh"])
+    def test_floor_is_kept_only_while_its_background_is_held(self, replaced_by):
+        state = MotionState(MotionConfig(max_hold_frames=2))
+        for t, value in enumerate([1000, 1100, 1100]):
+            motion_step(state, uniform_frame(4, 4, value, frame_index=t))
+        assert state.held[0] is state.background
+        assert state.held[1] is not None
+        result = motion_step(state, uniform_frame(4, 4, 1000 if replaced_by == "quiet frame"
+                                                  else 1100, frame_index=3))
+        assert result.background_updated
+        assert state.held is None
+
+    def test_reference_scene_calls_abs_diff_only_against_fresh_backgrounds(self):
+        # counted calls, not timings: a background's first comparison goes
+        # through abs_diff, and its one hold, of 944 frames, builds one floor
+        spec = parse_scene(REFERENCE_SCENE.read_text())
+        state = MotionState()
+        fresh = 0
+        with mock.patch.object(motion, "abs_diff", wraps=abs_diff) as diffs, \
+                mock.patch.object(motion, "_held_floor", wraps=motion._held_floor) as floors:
+            for t in range(spec.frames):
+                fresh += state.frames_since_update == 0
+                motion_step(state, render_frame(spec, t))
+        assert diffs.call_count == fresh == 56
+        assert floors.call_count == 1
 
     def test_determinism(self):
         seq = [frame_with_actives(8, 6, 100, 30, t * 5, frame_index=t) for t in range(8)]

@@ -83,20 +83,18 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-# The detector flags of detect and eval, by the config they set: (flag and
-# config-file key, config field, converter, metavar, help). Each default is
-# the config class's own.
+# The detector flags of detect and eval, by the config they set: (flag,
+# config-file key and config field, converter, metavar, help). Each default
+# is the config class's own.
 _DETECTOR_FLAGS = {
     MotionConfig: (
-        ("active_delta", "active_pixel_delta", int, "COUNTS", "per-pixel movement threshold"),
-        ("active_fraction", "active_fraction", float, "FRAC",
-         "fraction of active pixels that means movement"),
-        ("max_hold_frames", "max_hold_frames", int, "N",
-         "force a background refresh after N movement frames"),
+        ("active_delta", int, "COUNTS", "per-pixel movement threshold"),
+        ("active_fraction", float, "FRAC", "fraction of active pixels that means movement"),
+        ("max_hold_frames", int, "N", "force a background refresh after N movement frames"),
     ),
     RoiConfig: (
-        ("roi_ratio", "ratio", float, "RATIO", "quadrant mean must exceed RATIO x frame mean"),
-        ("roi_min_mean", "min_quadrant_mean", int, "COUNTS", "absolute quadrant-mean floor"),
+        ("roi_ratio", float, "RATIO", "quadrant mean must exceed RATIO x frame mean"),
+        ("roi_min_mean", int, "COUNTS", "absolute quadrant-mean floor"),
     ),
 }
 
@@ -105,9 +103,9 @@ _DETECTOR_FLAGS = {
 # is reported where it is written: as a flag a usage error, in a config file a
 # data error, even when a flag overrides it or the command builds no detector
 _CONFIG_KEYS = {
-    key: checked(convert, config, field, error=BadValueError)
+    key: checked(convert, config, key, error=BadValueError)
     for config, flags in _DETECTOR_FLAGS.items()
-    for key, field, convert, _, _ in flags
+    for key, convert, _, _ in flags
 }
 _CONFIG_KEYS.update(zones=_file)
 
@@ -127,8 +125,8 @@ def build_parser() -> _Parser:
     group = detector.add_argument_group("detector options")
     # a flag not given sets nothing: the config file or class supplies it
     for config, flags in _DETECTOR_FLAGS.items():
-        for key, field, _, metavar, text in flags:
-            default = getattr(config(), field)
+        for key, _, metavar, text in flags:
+            default = getattr(config(), key)
             group.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
                                metavar=metavar, type=_CONFIG_KEYS[key],
                                help=text if default is None else f"{text} (default {default})")
@@ -175,7 +173,7 @@ def parse_config(text: str) -> dict:
 def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
     given = vars(args)  # a setting neither flag nor file gave is the class default
     return tuple(
-        config(**{field: given[key] for key, field, *_ in flags if key in given})
+        config(**{key: given[key] for key, *_ in flags if key in given})
         for config, flags in _DETECTOR_FLAGS.items()
     )
 

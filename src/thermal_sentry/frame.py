@@ -57,14 +57,22 @@ class ThermalFrame(CheckedRecord, namedtuple("ThermalFrame", "width height pixel
     """One radiometric image.
 
     `pixels` is a read-only (height, width) uint16 array. Dimensions must be
-    even and at least 2 so the quadrant split is exact. Frames compare and
-    hash by identity: as tuples they would compare their pixel arrays.
+    even ints of at least 2 so the quadrant split is exact, and
+    `frame_index` an int >= 0. Frames compare and hash by identity: as
+    tuples they would compare their pixel arrays.
     """
 
     __slots__ = ()
     __ne__, __hash__ = object.__ne__, object.__hash__
 
     def __new__(cls, width: int, height: int, pixels: np.ndarray, frame_index: int = 0):
+        # a count is an int and not a bool: a float width would fail in
+        # numpy's reshape, and a bool frame_index is written as JSON `true`
+        if (isinstance(width, bool) or not isinstance(width, int)
+                or isinstance(height, bool) or not isinstance(height, int)):
+            raise ValueError(f"frame dimensions must be ints, got {width!r}x{height!r}")
+        if isinstance(frame_index, bool) or not isinstance(frame_index, int) or frame_index < 0:
+            raise ValueError("frame_index must be an int >= 0")
         if width < 2 or height < 2 or width % 2 or height % 2:
             raise ValueError(f"frame dimensions must be even and >= 2, got {width}x{height}")
         arr = np.asarray(pixels)

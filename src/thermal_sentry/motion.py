@@ -1,7 +1,7 @@
 """Movement detection by background subtraction (method A).
 
 Each frame is differenced against a reference background pixel by pixel;
-pixels whose absolute difference reaches `active_pixel_delta` are "active",
+pixels whose absolute difference reaches `active_delta` are "active",
 and the frame signals movement when the active count reaches the
 configured fraction of all pixels. A frame without movement replaces the
 background, so slow ambient changes (sunlight, daily temperature swings)
@@ -13,14 +13,14 @@ are therefore ignored after the first frame.
 
 A held background is compared against every frame of its hold, so from its
 second comparison on, the stream keeps one frame-sized uint16 array for it,
-`floor = background - r` with `r = active_pixel_delta - 1`: 38 KB at
+`floor = background - r` with `r = active_delta - 1`: 38 KB at
 160x120, 614 KB at 640x480, dropped when the background is replaced. A
 pixel p is then inactive exactly when the wrapping uint16 difference
 `p - floor` is at most `2r`, one subtraction and one comparison in place of
 `abs_diff` and a threshold. That is exact when every background pixel lies
 in `[r, MAX_COUNT - r]`: then no `floor` wraps below 0, and a `p` below
 `floor` wraps to at least `2r + 1`. A background outside that range, which
-every background is once `active_pixel_delta > 32768`, keeps `abs_diff`.
+every background is once `active_delta > 32768`, keeps `abs_diff`.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ from .frame import MAX_COUNT, CheckedRecord, ThermalFrame, abs_diff
 
 
 class MotionConfig(CheckedRecord, namedtuple(
-    "MotionConfig", "active_pixel_delta active_fraction max_hold_frames"
+    "MotionConfig", "active_delta active_fraction max_hold_frames"
 )):
     """Tunables for the movement detector.
 
-    active_pixel_delta: per-pixel |frame - background| threshold, in counts,
+    active_delta: per-pixel |frame - background| threshold, in counts,
         at most MAX_COUNT: no difference is larger, so a higher threshold
         would switch the detector off.
     active_fraction: fraction of all pixels that must be active before the
@@ -53,13 +53,13 @@ class MotionConfig(CheckedRecord, namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, active_pixel_delta: int = 20, active_fraction: float = 0.05,
+    def __new__(cls, active_delta: int = 20, active_fraction: float = 0.05,
                 max_hold_frames: int | None = None):
-        self = super().__new__(cls, active_pixel_delta, active_fraction, max_hold_frames)
+        self = super().__new__(cls, active_delta, active_fraction, max_hold_frames)
         # NaN fails every comparison; a count is an int, and no field a bool
-        delta, hold = self.active_pixel_delta, self.max_hold_frames
+        delta, hold = self.active_delta, self.max_hold_frames
         if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= MAX_COUNT:
-            raise ValueError(f"active_pixel_delta must be an int in 1..{MAX_COUNT}")
+            raise ValueError(f"active_delta must be an int in 1..{MAX_COUNT}")
         if isinstance(self.active_fraction, bool) or not 0.0 < self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in (0, 1]")
         if hold is not None and (isinstance(hold, bool) or not isinstance(hold, int) or hold < 1):
@@ -82,18 +82,22 @@ class MotionResult(NamedTuple):
 
 
 class MotionState:
-    """Mutable per-stream detector state. One instance per frame stream;
-    not safe for concurrent mutation."""
+    """Mutable per-stream detector state under one `MotionConfig`, kept
+    from construction on. One instance per frame stream; not safe for
+    concurrent mutation."""
 
-    __slots__ = ("config", "background", "frames_since_update", "held")
+    __slots__ = ("_config", "background", "frames_since_update", "held")
 
     def __init__(self, config: MotionConfig = MotionConfig()) -> None:
-        self.config = config
+        self._config = config
         self.background: ThermalFrame | None = None
         self.frames_since_update = 0
         # `_held_floor` of the held background, once it has been compared
         # a second time
         self.held: tuple[ThermalFrame, np.ndarray | None, int] | None = None
+
+    # read-only, so a held floor always matches the config's delta
+    config = property(lambda self: self._config)
 
 
 def _held_floor(
@@ -132,14 +136,14 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
     a movement frame leaves it untouched (updating it would absorb the
     intruder) unless the optional hold limit has been exceeded.
     """
-    cfg = state.config
+    cfg = state._config
     required = required_active_count(cfg.active_fraction, frame.width * frame.height)
     background = frame if state.background is None else state.background
     floor = None
     if state.frames_since_update:  # a held background, compared before
         held = state.held
         if held is None or held[0] is not background:
-            held = state.held = _held_floor(background, cfg.active_pixel_delta)
+            held = state.held = _held_floor(background, cfg.active_delta)
         _, floor, span = held
     pixels = frame.pixels
     # a frame of other dimensions goes to abs_diff, which reports it
@@ -147,7 +151,7 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
         active = pixels.size - int(np.count_nonzero((pixels - floor) <= span))
     else:
         diff = abs_diff(frame, background)
-        active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
+        active = int(np.count_nonzero(diff >= cfg.active_delta))
     movement = active >= required
 
     forced = False

@@ -1,7 +1,7 @@
 """Region-of-interest detection over frame quadrants (method B).
 
 Stateless per frame: a quadrant is flagged when its mean intensity is more
-than `ratio` times the whole-frame mean (default: 20% above it) and also
+than `roi_ratio` times the whole-frame mean (default: 20% above it) and also
 meets an absolute floor that keeps near-black frames negative. Unlike the
 movement detector this catches stationary people, but a body of heat
 centered on the frame splits its mass across all four quadrants and can
@@ -20,22 +20,22 @@ import numpy as np
 from .frame import MAX_COUNT, CheckedRecord, ThermalFrame
 
 
-class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "ratio min_quadrant_mean")):
-    """ratio: quadrant mean must exceed ratio * frame mean (strict). Below 4:
-        a quadrant mean is at most 4 times the frame mean.
-    min_quadrant_mean: absolute floor on the quadrant mean, in counts, at
-        most MAX_COUNT. A setting no frame can meet switches method B off."""
+class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "roi_ratio roi_min_mean")):
+    """roi_ratio: quadrant mean must exceed roi_ratio * frame mean (strict).
+        Below 4: a quadrant mean is at most 4 times the frame mean.
+    roi_min_mean: absolute floor on the quadrant mean, in counts, at most
+        MAX_COUNT. A setting no frame can meet switches method B off."""
 
     __slots__ = ()
 
-    def __new__(cls, ratio: float = 1.20, min_quadrant_mean: int = 1):
-        self = super().__new__(cls, ratio, min_quadrant_mean)
+    def __new__(cls, roi_ratio: float = 1.20, roi_min_mean: int = 1):
+        self = super().__new__(cls, roi_ratio, roi_min_mean)
         # NaN fails every comparison; a count is an int, and no field a bool
-        floor = self.min_quadrant_mean
-        if isinstance(self.ratio, bool) or not 1.0 <= self.ratio < 4.0:
-            raise ValueError("ratio must be a finite number >= 1.0 and < 4.0")
+        ratio, floor = self.roi_ratio, self.roi_min_mean
+        if isinstance(ratio, bool) or not 1.0 <= ratio < 4.0:
+            raise ValueError("roi_ratio must be a finite number >= 1.0 and < 4.0")
         if isinstance(floor, bool) or not isinstance(floor, int) or not 0 <= floor <= MAX_COUNT:
-            raise ValueError(f"min_quadrant_mean must be an int in 0..{MAX_COUNT}")
+            raise ValueError(f"roi_min_mean must be an int in 0..{MAX_COUNT}")
         return self
 
 
@@ -68,7 +68,7 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig = RoiConfig()) -> RoiResu
     the caller wrote (1.2 is exactly 6/5, not its binary float image), so
     with ratio = num/den the test is 4 * den * sum_q > num * F.
     """
-    num, den = _exact_ratio(config.ratio)
+    num, den = _exact_ratio(config.roi_ratio)
     hh, hw = frame.height // 2, frame.width // 2
     quad_count = hh * hw
 
@@ -86,7 +86,7 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig = RoiConfig()) -> RoiResu
 
     bar = num * total
     scale = 4 * den
-    floor = config.min_quadrant_mean * quad_count
+    floor = config.roi_min_mean * quad_count
     flags = (
         scale * s0 > bar and s0 >= floor,
         scale * s1 > bar and s1 >= floor,

@@ -77,16 +77,15 @@ class BlobSpec(CheckedRecord, namedtuple("BlobSpec", "amplitude sigma path is_hu
 
 
 class SceneSpec(CheckedRecord, namedtuple(
-    "SceneSpec", "frames width height ambient drift_per_frame noise_sigma seed blobs"
+    "SceneSpec", "frames width height ambient drift noise_sigma seed blobs"
 )):
     __slots__ = ()
 
     def __new__(cls, frames: int, width: int = 160, height: int = 120,
-                ambient: float = 0.0, drift_per_frame: float = 0.0,
+                ambient: float = 0.0, drift: float = 0.0,
                 noise_sigma: float = 0.0, seed: int = 0, blobs: tuple[BlobSpec, ...] = ()):
-        self = super().__new__(cls, frames, width, height, ambient, drift_per_frame,
-                               noise_sigma, seed, blobs)
-        for name in ("ambient", "drift_per_frame", "noise_sigma"):
+        self = super().__new__(cls, frames, width, height, ambient, drift, noise_sigma, seed, blobs)
+        for name in ("ambient", "drift", "noise_sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise SceneError(f"{name} must be finite")
         # counts: 2.5 frames would fail in `generate`, and True render one
@@ -172,7 +171,7 @@ def render_frame(spec: SceneSpec, frame_index: int) -> ThermalFrame:
         ys = np.arange(top, min(top + band_rows, height), dtype=np.float64)[:, None]
         field = np.full(
             (len(ys), width),
-            spec.ambient + frame_index * spec.drift_per_frame,
+            spec.ambient + frame_index * spec.drift,
             dtype=np.float64,
         )
         for blob, (cx, cy) in zip(spec.blobs, centers):
@@ -246,11 +245,10 @@ def _parse_blob(value: str) -> BlobSpec:
     return BlobSpec(amplitude, sigma, tuple(waypoints), is_human=kind == "human")
 
 
-_KEY_TO_FIELD = {"drift": "drift_per_frame"}
 # scene-file keys and how to convert their values; SceneSpec checks each
 # scalar where it is written, in a one-frame scene unless the key is frames
 _SCENE_KEYS = {
-    key: checked(convert, partial(SceneSpec, frames=1), _KEY_TO_FIELD.get(key, key))
+    key: checked(convert, partial(SceneSpec, frames=1), key)
     for key, convert in [("width", int), ("height", int), ("frames", int), ("ambient", float),
                          ("drift", float), ("noise_sigma", float), ("seed", int)]
 }
@@ -268,4 +266,4 @@ def parse_scene(text: str) -> SceneSpec:
     if "frames" not in settings:
         raise SceneError("scene file must set frames")
     blobs = tuple(settings.pop("blob", ()))
-    return SceneSpec(blobs=blobs, **{_KEY_TO_FIELD.get(k, k): v for k, v in settings.items()})
+    return SceneSpec(blobs=blobs, **settings)

@@ -8,10 +8,10 @@ quadrant demands Slow. A positive detection without quadrant localization
 Stop, because there is no quadrant to blame.
 
 Occupancy is debounced in both directions: a quadrant must be flagged for
-`debounce_frames` consecutive frames to count as occupied, and must then be
-flag-free for `clear_frames` consecutive frames to release. At the paper's
-class of capture rates (a few frames per second) this suppresses
-single-frame chatter without adding meaningful reaction delay.
+`debounce` consecutive frames to count as occupied, and must then be
+flag-free for `clear` consecutive frames to release. At the paper's class
+of capture rates (a few frames per second) this suppresses single-frame
+chatter without adding meaningful reaction delay.
 """
 
 from __future__ import annotations
@@ -71,29 +71,27 @@ class ZoneConfigError(ValueError):
 _ALL_IGNORE = MappingProxyType(dict.fromkeys(QUADRANTS, ZoneClass.IGNORE))
 
 
-class ZoneConfig(
-    CheckedRecord, namedtuple("ZoneConfig", "zone_class debounce_frames clear_frames")
-):
+class ZoneConfig(CheckedRecord, namedtuple("ZoneConfig", "zone_class debounce clear")):
     """`zone_class` is kept as a read-only copy: a later change to the
     caller's mapping cannot get past the checks."""
 
     __slots__ = ()
 
     def __new__(cls, zone_class: Mapping[QuadrantId, ZoneClass] = _ALL_IGNORE,
-                debounce_frames: int = 3, clear_frames: int = 3):
+                debounce: int = 3, clear: int = 3):
         zone_class = MappingProxyType(dict(zone_class))
-        self = super().__new__(cls, zone_class, debounce_frames, clear_frames)
+        self = super().__new__(cls, zone_class, debounce, clear)
         if set(self.zone_class) != set(QuadrantId):
             raise ValueError("zone_class must map every quadrant")
         # a plain "critical" string would never demand Stop
         if not all(isinstance(c, ZoneClass) for c in self.zone_class.values()):
             raise ValueError("zone_class values must be ZoneClass members")
         # frame counts: 2.5 would act as 3 frames and True as 1
-        debounce, clear = self.debounce_frames, self.clear_frames
+        debounce, clear = self.debounce, self.clear
         if isinstance(debounce, bool) or not isinstance(debounce, int) or debounce < 1:
-            raise ValueError("debounce_frames must be an int >= 1")
+            raise ValueError("debounce must be an int >= 1")
         if isinstance(clear, bool) or not isinstance(clear, int) or clear < 1:
-            raise ValueError("clear_frames must be an int >= 1")
+            raise ValueError("clear must be an int >= 1")
         return self
 
 
@@ -139,7 +137,7 @@ def zone_update(state: ZoneState, frame_index: int, flags: tuple[bool, ...],
             pending[q] = 0
             continue
         pending[q] += 1
-        if pending[q] >= (config.debounce_frames if flagged else config.clear_frames):
+        if pending[q] >= (config.debounce if flagged else config.clear):
             pending[q] = 0
             if flagged:
                 occupied.add(q)
@@ -151,7 +149,7 @@ def zone_update(state: ZoneState, frame_index: int, flags: tuple[bool, ...],
     if verdict and not any(flags):
         # movement with no quadrant to localize: hold at least Slow for one
         # debounce window starting at this frame
-        state.unlocalized_hold = config.debounce_frames
+        state.unlocalized_hold = config.debounce
 
     # `events` holds only quadrant transitions so far: none, no new demand
     if events:
@@ -176,10 +174,9 @@ def _zone_class(text: str) -> ZoneClass:
         raise ValueError(f"unknown zone class {text!r}") from None
 
 
-_COUNT_FIELDS = {"debounce": "debounce_frames", "clear": "clear_frames"}
 # zone-file keys and how to convert their values
 _ZONE_KEYS = {q.name.lower(): _zone_class for q in QuadrantId}
-_ZONE_KEYS.update({key: checked(int, ZoneConfig, field) for key, field in _COUNT_FIELDS.items()})
+_ZONE_KEYS.update({key: checked(int, ZoneConfig, key) for key in ("debounce", "clear")})
 
 
 def parse_zone_config(text: str) -> ZoneConfig:
@@ -189,4 +186,4 @@ def parse_zone_config(text: str) -> ZoneConfig:
     default to Ignore."""
     settings = read_settings(text, _ZONE_KEYS, error=ZoneConfigError)
     classes = {q: settings.pop(q.name.lower(), ZoneClass.IGNORE) for q in QuadrantId}
-    return ZoneConfig(classes, **{_COUNT_FIELDS[key]: value for key, value in settings.items()})
+    return ZoneConfig(classes, **settings)

@@ -70,8 +70,8 @@ class TestDetectorBoundaries:
         report("C3 movement boundary at exactly 5% (960 of 19200)", ok)
 
     def test_c04_uniform_drift_never_fires(self):
-        spec = SceneSpec(frames=500, ambient=1000, drift_per_frame=5.0)
-        state = MotionState(MotionConfig(active_pixel_delta=20))
+        spec = SceneSpec(frames=500, ambient=1000, drift=5.0)
+        state = MotionState(MotionConfig(active_delta=20))
         positives = sum(
             motion_step(state, render_frame(spec, t)).movement for t in range(500)
         )
@@ -158,7 +158,7 @@ class TestLatency:
         spec = SceneSpec(
             frames=64,
             ambient=60,
-            drift_per_frame=0.05,
+            drift=0.05,
             noise_sigma=1.5,
             seed=99,
             blobs=(

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import stat
 import subprocess
 import sys
@@ -10,11 +11,13 @@ import sys
 import pytest
 
 import thermal_sentry
-from thermal_sentry import cli
+from thermal_sentry import cli, synth, zones
 from thermal_sentry.cli import main
 from thermal_sentry.frame import write_pgm
 from thermal_sentry.motion import MotionConfig
 from thermal_sentry.roi import RoiConfig
+from thermal_sentry.synth import SceneSpec
+from thermal_sentry.zones import ZoneConfig
 from conftest import make_frame
 
 DETECTION_KEYS = {
@@ -998,7 +1001,7 @@ class TestConfigFile:
         )
         assert code == 2
         assert out == ""
-        assert f"{config}: line 2: bad value for roi_ratio: ratio must be" in err
+        assert f"{config}: line 2: bad value for roi_ratio: roi_ratio must be" in err
 
     def test_out_of_range_config_value_without_a_detector(self, tmp_path, capsys):
         # eval --cells builds no detector config, and still reads the file
@@ -1009,7 +1012,7 @@ class TestConfigFile:
         )
         assert code == 2
         assert out == ""
-        assert f"{config}: line 1: bad value for active_delta: active_pixel_delta must be" in err
+        assert f"{config}: line 1: bad value for active_delta: active_delta must be" in err
 
     @pytest.mark.parametrize("key, value", [
         ("active_delta", "65535"), ("roi_min_mean", "65535"),
@@ -1176,22 +1179,78 @@ class TestDefaults:
         options = " ".join(capsys.readouterr().out.split()).split("detector options:")[1]
         motion, roi = MotionConfig(), RoiConfig()
         for flag, default in [
-            ("--active-delta COUNTS", motion.active_pixel_delta),
+            ("--active-delta COUNTS", motion.active_delta),
             ("--active-fraction FRAC", motion.active_fraction),
-            ("--roi-ratio RATIO", roi.ratio),
-            ("--roi-min-mean COUNTS", roi.min_quadrant_mean),
+            ("--roi-ratio RATIO", roi.roi_ratio),
+            ("--roi-min-mean COUNTS", roi.roi_min_mean),
         ]:
             assert f"(default {default})" in options.split(flag, 1)[1].split(" --", 1)[0]
+
+
+# the keys users write for a setting, by the records they set: config-file
+# keys but `zones`, which names a file; zone keys but Q0-Q3, which fill
+# `zone_class`; scene keys but `blob`, whose lines fill `blobs`
+SETTING_KEYS = {
+    "config": (cli._CONFIG_KEYS.keys() - {"zones"}, (MotionConfig, RoiConfig)),
+    "zone": (zones._ZONE_KEYS.keys() - {"q0", "q1", "q2", "q3"}, (ZoneConfig,)),
+    "scene": (synth._SCENE_KEYS.keys() - {"blob"}, (SceneSpec,)),
+}
+# every name a setting goes by: its key and the field of its record
+SETTING_NAMES = {
+    name for keys, records in SETTING_KEYS.values()
+    for name in (*keys, *(field for record in records for field in record._fields))
+}
+
+
+class TestOneNamePerSetting:
+    """A setting has the one name users write, as a flag, a config key, a
+    zone key or a scene key: the field it sets and its errors use it too."""
+
+    @pytest.mark.parametrize("keys, records", SETTING_KEYS.values(), ids=SETTING_KEYS)
+    def test_each_key_is_the_field_it_sets(self, keys, records):
+        fields = {field for record in records for field in record._fields}
+        assert set(keys) == fields - {"zone_class", "blobs"}
+
+    @pytest.mark.parametrize("where, key, value", [
+        ("flag", "active_delta", "0"),
+        ("flag", "roi_min_mean", "65536"),
+        ("config", "roi_ratio", "4.0"),
+        ("config", "roi_min_mean", "65536"),
+        ("zone", "debounce", "0"),
+        ("zone", "clear", "0"),
+        ("scene", "drift", "inf"),
+    ])
+    def test_an_error_names_its_setting_by_the_key_alone(
+        self, tmp_path, capsys, where, key, value
+    ):
+        path = tmp_path / "settings"
+        path.write_text(f"{key}={value}\n")
+        argv = {
+            "flag": ["detect", "--" + key.replace("_", "-"), value],
+            "config": ["--config", str(path), "eval", "--cells", "1,2,3,4"],
+            "zone": ["detect", "--zones", str(path), "--input-dir", str(tmp_path)],
+            "scene": ["synth", "--scene", str(path), "--out-dir", str(tmp_path / "out")],
+        }[where]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a flag's value is a usage error
+            code = exc.code
+        assert code == (1 if where == "flag" else 2)
+        error = capsys.readouterr().err.splitlines()[-1].replace(str(path), "FILE")
+        # a flag is its key written with dashes
+        error = re.sub(r"--([a-z-]+)", lambda flag: flag[1].replace("-", "_"), error)
+        names = {word for word in re.findall(r"\w+", error) if word in SETTING_NAMES or "_" in word}
+        assert names == {key}, error
 
 
 # every config-file key: a flag value, a config-file value, and the setting
 # as the detector configs and zone file name that detect builds show it
 SETTINGS = [
-    ("active_delta", "7", "9", lambda motion, roi, zones: motion.active_pixel_delta),
+    ("active_delta", "7", "9", lambda motion, roi, zones: motion.active_delta),
     ("active_fraction", "0.1", "0.2", lambda motion, roi, zones: motion.active_fraction),
     ("max_hold_frames", "30", "40", lambda motion, roi, zones: motion.max_hold_frames),
-    ("roi_ratio", "1.5", "1.6", lambda motion, roi, zones: roi.ratio),
-    ("roi_min_mean", "5", "6", lambda motion, roi, zones: roi.min_quadrant_mean),
+    ("roi_ratio", "1.5", "1.6", lambda motion, roi, zones: roi.roi_ratio),
+    ("roi_min_mean", "5", "6", lambda motion, roi, zones: roi.roi_min_mean),
     ("zones", "flag.zones", "file.zones", lambda motion, roi, zones: zones),
 ]
 

@@ -76,8 +76,8 @@ def reference_roi_analyze(frame, config=None):
         sums[qid] = int(view.sum(dtype=np.int64))
     total = sum(sums.values())
 
-    ratio = Fraction(str(cfg.ratio))
-    floor = cfg.min_quadrant_mean * quad_count
+    ratio = Fraction(str(cfg.roi_ratio))
+    floor = cfg.roi_min_mean * quad_count
     flags = {
         qid: (4 * s > ratio * total) and (s >= floor) for qid, s in sums.items()
     }
@@ -119,7 +119,7 @@ def reference_motion_step(state, frame):
     diff = np.abs(
         frame.pixels.astype(np.int32) - state.background.pixels.astype(np.int32)
     )
-    active = int(np.count_nonzero(diff >= cfg.active_pixel_delta))
+    active = int(np.count_nonzero(diff >= cfg.active_delta))
     movement = active >= required
 
     forced = False
@@ -195,20 +195,20 @@ def reference_zone_update(state, index, flags, verdict, config):
         if flags[q]:
             state.flag_streak[q] += 1
             state.clear_streak[q] = 0
-            if q not in state.occupied and state.flag_streak[q] >= config.debounce_frames:
+            if q not in state.occupied and state.flag_streak[q] >= config.debounce:
                 state.occupied.add(q)
                 events.append(ZoneEvent(index, ZoneEventKind.ENTERED, quadrant=q))
         else:
             state.clear_streak[q] += 1
             state.flag_streak[q] = 0
-            if q in state.occupied and state.clear_streak[q] >= config.clear_frames:
+            if q in state.occupied and state.clear_streak[q] >= config.clear:
                 state.occupied.discard(q)
                 events.append(ZoneEvent(index, ZoneEventKind.CLEARED, quadrant=q))
 
     if verdict and not any(flags):
         # movement with no quadrant to localize: hold at least Slow for one
         # debounce window starting at this frame
-        state.unlocalized_hold = config.debounce_frames
+        state.unlocalized_hold = config.debounce
 
     target = SafetyState.RUN
     if any(config.zone_class[q] is ZoneClass.CRITICAL for q in state.occupied):
@@ -330,7 +330,7 @@ class TestRoiAgainstReference:
         floor=st.integers(0, 65535),
     )
     def test_random_frames_and_configs(self, frames, ratio, floor):
-        cfg = RoiConfig(ratio=ratio, min_quadrant_mean=floor)
+        cfg = RoiConfig(roi_ratio=ratio, roi_min_mean=floor)
         for frame in frames:
             assert roi_analyze(frame, cfg) == reference_roi_analyze(frame, cfg)
             assert roi_analyze(frame) == reference_roi_analyze(frame)
@@ -385,7 +385,7 @@ class TestMotionAgainstReference:
     def test_random_streams_and_configs(self, data, delta, fraction, hold):
         frames = data.draw(frame_streams(delta))
         cfg = MotionConfig(
-            active_pixel_delta=delta, active_fraction=fraction, max_hold_frames=hold
+            active_delta=delta, active_fraction=fraction, max_hold_frames=hold
         )
         state, ref = MotionState(cfg), ReferenceMotionState(cfg)
         for frame in frames:
@@ -415,7 +415,7 @@ class TestMotionAgainstReference:
         # against a fresh background, and against a held one, which lies in
         # its floor's range: abs_diff compares the first two frames of each
         # stream only, so the held one's last frame goes through the floor
-        cfg = MotionConfig(active_pixel_delta=delta)
+        cfg = MotionConfig(active_delta=delta)
         for stream in ([first, last], [first, mover, last]):
             state, ref = MotionState(cfg), ReferenceMotionState(cfg)
             with mock.patch.object(motion_module, "abs_diff", wraps=frame_module.abs_diff) as spy:
@@ -437,7 +437,7 @@ class TestMotionAgainstReference:
         # limit of 2 forces a refresh, and the next hold starts over.
         r = delta - 1
         rng = np.random.default_rng(delta)
-        cfg = MotionConfig(active_pixel_delta=delta, max_hold_frames=hold)
+        cfg = MotionConfig(active_delta=delta, max_hold_frames=hold)
         floor_compares = 0
         for nudge in (-1, 0, 1):
             level = min(max(r + nudge if end == "low" else 65535 - r - nudge, 0), 65535)
@@ -471,7 +471,7 @@ class TestMotionAgainstReference:
                                wraps=motion_module._held_floor) as spy:
             for _ in range(40):
                 delta = int(rng.integers(1, 65536))
-                state = MotionState(MotionConfig(active_pixel_delta=delta))
+                state = MotionState(MotionConfig(active_delta=delta))
                 for f in held_run(rng, 8, 6, 4, delta):
                     motion_step(state, f)
         outcomes = {in_floor_range(background, delta) for (background, delta), _ in

@@ -68,13 +68,13 @@ def method_a_limit(ambient, noise):
 
 
 def method_b_closed_form(ambient):
-    r = RoiConfig().ratio
+    r = RoiConfig().roi_ratio
     return W * H * ambient * (r - 1) / ((4 - r) * 2 * math.pi * SIGMA**2)
 
 
 def method_a_closed_form():
     config = MotionConfig()
-    return config.active_pixel_delta * math.exp(
+    return config.active_delta * math.exp(
         config.active_fraction * W * H / (2 * math.pi * SIGMA**2))
 
 

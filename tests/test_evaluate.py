@@ -283,9 +283,9 @@ class TestRunEvalLoop:
             blobs=(BlobSpec(400.0, 3.0, ((0, 2.0, 4.0), (11, 30.0, 20.0))),),
         )
         ds = generate(spec, tmp_path / "walk")
-        motion_cfg = MotionConfig(active_pixel_delta=15, active_fraction=0.02,
+        motion_cfg = MotionConfig(active_delta=15, active_fraction=0.02,
                                   max_hold_frames=3)
-        roi_cfg = RoiConfig(ratio=1.5)  # flags fewer frames than the default
+        roi_cfg = RoiConfig(roi_ratio=1.5)  # flags fewer frames than the default
         report = run_eval(ds.directory, ds.labels_path, motion_cfg, roi_cfg)
 
         frames = list(replay_dir(ds.directory))

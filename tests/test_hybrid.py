@@ -160,10 +160,10 @@ RECORDS = [
     (Detection, ("frame_index", "verdict", "elapsed_us", "motion", "roi"),
      (4, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI)),
      (5, True, 12.5, MotionResult(*_MOTION), RoiResult(*_ROI))),
-    (MotionConfig, ("active_pixel_delta", "active_fraction", "max_hold_frames"),
+    (MotionConfig, ("active_delta", "active_fraction", "max_hold_frames"),
      (25, 0.1, 7), (25, 0.1, 8)),
-    (RoiConfig, ("ratio", "min_quadrant_mean"), (1.5, 10), (1.5, 11)),
-    (ZoneConfig, ("zone_class", "debounce_frames", "clear_frames"), (_ZONES, 2, 4),
+    (RoiConfig, ("roi_ratio", "roi_min_mean"), (1.5, 10), (1.5, 11)),
+    (ZoneConfig, ("zone_class", "debounce", "clear"), (_ZONES, 2, 4),
      (_ZONES, 2, 5)),
     (ZoneEvent, ("frame_index", "kind", "quadrant", "from_state", "to_state"), _EVENT,
      (10,) + _EVENT[1:]),
@@ -174,7 +174,7 @@ RECORDS = [
     (EvalReport, ("matrices", "accuracies", "latency", "frames_evaluated"), _REPORT,
      _REPORT[:3] + (17,)),
     (BlobSpec, ("amplitude", "sigma", "path", "is_human"), _BLOB, _BLOB[:3] + (True,)),
-    (SceneSpec, ("frames", "width", "height", "ambient", "drift_per_frame", "noise_sigma",
+    (SceneSpec, ("frames", "width", "height", "ambient", "drift", "noise_sigma",
                  "seed", "blobs"), _SCENE, _SCENE[:6] + (8,) + _SCENE[7:]),
     (LabeledDataset, ("directory", "labels_path", "frame_paths", "labels"), _DATASET,
      (Path("other"),) + _DATASET[1:]),
@@ -232,20 +232,22 @@ INVALID = [
     (ThermalFrame, dict(height=2), ValueError, "pixel grid shape (12, 16) does not match 2x16"),
     (ThermalFrame, dict(pixels=np.zeros(3)), ValueError, "expected 192 pixels, got 3"),
     (ThermalFrame, dict(pixels=_GRID - 1.0), ValueError, "pixel values must be within 0..65535"),
-    (MotionConfig, dict(active_pixel_delta=0),
-     ValueError, "active_pixel_delta must be an int in 1..65535"),
+    (ThermalFrame, dict(frame_index=-1), ValueError, "frame_index must be an int >= 0"),
+    (MotionConfig, dict(active_delta=0),
+     ValueError, "active_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_fraction=0.0), ValueError, "active_fraction must be in (0, 1]"),
     (MotionConfig, dict(max_hold_frames=0),
      ValueError, "max_hold_frames must be an int >= 1 when set"),
-    (RoiConfig, dict(ratio=4.0), ValueError, "ratio must be a finite number >= 1.0 and < 4.0"),
-    (RoiConfig, dict(min_quadrant_mean=-1),
-     ValueError, "min_quadrant_mean must be an int in 0..65535"),
+    (RoiConfig, dict(roi_ratio=4.0),
+     ValueError, "roi_ratio must be a finite number >= 1.0 and < 4.0"),
+    (RoiConfig, dict(roi_min_mean=-1),
+     ValueError, "roi_min_mean must be an int in 0..65535"),
     (ZoneConfig, dict(zone_class={QuadrantId.Q0: ZoneClass.IGNORE}),
      ValueError, "zone_class must map every quadrant"),
     (ZoneConfig, dict(zone_class={q: "critical" for q in QuadrantId}),
      ValueError, "zone_class values must be ZoneClass members"),
-    (ZoneConfig, dict(debounce_frames=0), ValueError, "debounce_frames must be an int >= 1"),
-    (ZoneConfig, dict(clear_frames=0), ValueError, "clear_frames must be an int >= 1"),
+    (ZoneConfig, dict(debounce=0), ValueError, "debounce must be an int >= 1"),
+    (ZoneConfig, dict(clear=0), ValueError, "clear must be an int >= 1"),
     (ConfusionMatrix, dict(fn=-1), ValueError, "confusion counts must be non-negative"),
     (GroundTruthLabel, dict(human_present=False),
      ValueError, "occupied quadrants require human_present"),
@@ -259,22 +261,28 @@ INVALID = [
 # bool, and a bool ratio or fraction has no decimal text for the exact
 # threshold arithmetic. Their ids carry the value.
 WRONG_TYPE = [
-    (MotionConfig, dict(active_pixel_delta=20.5),
-     ValueError, "active_pixel_delta must be an int in 1..65535"),
-    (MotionConfig, dict(active_pixel_delta=True),
-     ValueError, "active_pixel_delta must be an int in 1..65535"),
+    (ThermalFrame, dict(width=4.0), ValueError, "frame dimensions must be ints, got 4.0x12"),
+    (ThermalFrame, dict(height=True), ValueError, "frame dimensions must be ints, got 16xTrue"),
+    (ThermalFrame, dict(frame_index=True), ValueError, "frame_index must be an int >= 0"),
+    (ThermalFrame, dict(frame_index=1.5), ValueError, "frame_index must be an int >= 0"),
+    (ThermalFrame, dict(frame_index="7"), ValueError, "frame_index must be an int >= 0"),
+    (MotionConfig, dict(active_delta=20.5),
+     ValueError, "active_delta must be an int in 1..65535"),
+    (MotionConfig, dict(active_delta=True),
+     ValueError, "active_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_fraction=True), ValueError, "active_fraction must be in (0, 1]"),
     (MotionConfig, dict(max_hold_frames=2.5),
      ValueError, "max_hold_frames must be an int >= 1 when set"),
     (MotionConfig, dict(max_hold_frames=True),
      ValueError, "max_hold_frames must be an int >= 1 when set"),
-    (RoiConfig, dict(ratio=True), ValueError, "ratio must be a finite number >= 1.0 and < 4.0"),
-    (RoiConfig, dict(min_quadrant_mean=0.5),
-     ValueError, "min_quadrant_mean must be an int in 0..65535"),
-    (RoiConfig, dict(min_quadrant_mean=True),
-     ValueError, "min_quadrant_mean must be an int in 0..65535"),
-    (ZoneConfig, dict(debounce_frames=2.5), ValueError, "debounce_frames must be an int >= 1"),
-    (ZoneConfig, dict(clear_frames=True), ValueError, "clear_frames must be an int >= 1"),
+    (RoiConfig, dict(roi_ratio=True),
+     ValueError, "roi_ratio must be a finite number >= 1.0 and < 4.0"),
+    (RoiConfig, dict(roi_min_mean=0.5),
+     ValueError, "roi_min_mean must be an int in 0..65535"),
+    (RoiConfig, dict(roi_min_mean=True),
+     ValueError, "roi_min_mean must be an int in 0..65535"),
+    (ZoneConfig, dict(debounce=2.5), ValueError, "debounce must be an int >= 1"),
+    (ZoneConfig, dict(clear=True), ValueError, "clear must be an int >= 1"),
     (SceneSpec, dict(frames=2.5), SceneError, "frames must be an int"),
     (SceneSpec, dict(frames=True), SceneError, "frames must be an int"),
     (SceneSpec, dict(width=4.0), SceneError, "width must be an int"),

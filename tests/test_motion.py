@@ -32,7 +32,7 @@ def frame_with_actives(width, height, base, delta, count, frame_index=0):
 class TestConfig:
     def test_defaults(self):
         cfg = MotionConfig()
-        assert cfg.active_pixel_delta == 20
+        assert cfg.active_delta == 20
         assert cfg.active_fraction == 0.05
         assert cfg.max_hold_frames is None
 
@@ -43,7 +43,7 @@ class TestConfig:
 
     def test_rejects_zero_delta(self):
         with pytest.raises(ValueError):
-            MotionConfig(active_pixel_delta=0)
+            MotionConfig(active_delta=0)
 
     def test_rejects_bad_hold(self):
         with pytest.raises(ValueError):
@@ -52,9 +52,9 @@ class TestConfig:
     # NaN fails every comparison: a NaN delta would make no pixel active and
     # a NaN hold limit would never force a refresh
     @pytest.mark.parametrize("field, value", [
-        ("active_pixel_delta", math.nan),
-        ("active_pixel_delta", math.inf),
-        ("active_pixel_delta", 65536),  # no |difference| exceeds 65535
+        ("active_delta", math.nan),
+        ("active_delta", math.inf),
+        ("active_delta", 65536),  # no |difference| exceeds 65535
         ("max_hold_frames", math.nan),
     ])
     def test_rejects_value_that_switches_detection_off(self, field, value):
@@ -62,9 +62,22 @@ class TestConfig:
             MotionConfig(**{field: value})
 
     def test_largest_accepted_delta_still_fires(self):
-        state = MotionState(MotionConfig(active_pixel_delta=65535))
+        state = MotionState(MotionConfig(active_delta=65535))
         motion_step(state, uniform_frame(2, 2, 0))
         assert motion_step(state, uniform_frame(2, 2, 65535)).movement
+
+    def test_state_keeps_its_config_for_the_whole_stream(self):
+        # a held floor is built from the delta when a hold starts; a new
+        # config mid-hold would compare against the old delta's floor
+        config = MotionConfig(active_delta=20)
+        state = MotionState(config)
+        assert state.config is config
+        for i, value in enumerate((100, 200, 200)):  # the floor is built on frame 2
+            motion_step(state, uniform_frame(4, 4, value, i))
+        with pytest.raises(AttributeError):
+            state.config = MotionConfig(active_delta=200)
+        assert state.config is config
+        assert motion_step(state, uniform_frame(4, 4, 200, 3)).active_count == 16
 
 
 class TestRequiredCount:
@@ -249,7 +262,7 @@ class TestMonotonicity:
     )
     def test_raising_delta_never_increases_active_count(self, data, delta_low, bump):
         def run(delta):
-            state = MotionState(MotionConfig(active_pixel_delta=delta))
+            state = MotionState(MotionConfig(active_delta=delta))
             motion_step(state, uniform_frame(6, 4, 100))
             return motion_step(
                 state, ThermalFrame(6, 4, np.array(data, dtype=np.uint16), frame_index=1)

@@ -106,7 +106,7 @@ blob_lines = st.tuples(
 
 
 def scene_numbers(spec: SceneSpec):
-    yield spec.ambient, spec.drift_per_frame, spec.noise_sigma
+    yield spec.ambient, spec.drift, spec.noise_sigma
     for blob in spec.blobs:
         yield blob.amplitude, blob.sigma
         for _, x, y in blob.path:

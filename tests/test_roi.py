@@ -20,39 +20,39 @@ def quadrant_frame(q0, q1, q2, q3):
 class TestConfig:
     def test_defaults(self):
         cfg = RoiConfig()
-        assert cfg.ratio == 1.20
-        assert cfg.min_quadrant_mean == 1
+        assert cfg.roi_ratio == 1.20
+        assert cfg.roi_min_mean == 1
 
     def test_rejects_ratio_below_one(self):
         with pytest.raises(ValueError):
-            RoiConfig(ratio=0.99)
+            RoiConfig(roi_ratio=0.99)
 
     @pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_ratio(self, ratio):
         with pytest.raises(ValueError, match="finite"):
-            RoiConfig(ratio=ratio)
+            RoiConfig(roi_ratio=ratio)
 
     def test_rejects_negative_floor(self):
         with pytest.raises(ValueError):
-            RoiConfig(min_quadrant_mean=-1)
+            RoiConfig(roi_min_mean=-1)
 
     # a NaN or infinite floor would flag no quadrant at all
     @pytest.mark.parametrize("floor", [math.nan, math.inf])
     def test_rejects_non_finite_floor(self, floor):
-        with pytest.raises(ValueError, match="min_quadrant_mean"):
-            RoiConfig(min_quadrant_mean=floor)
+        with pytest.raises(ValueError, match="roi_min_mean"):
+            RoiConfig(roi_min_mean=floor)
 
     # a quadrant mean is at most 4x the frame mean and at most 65535, so a
     # ratio of 4 or more, or a floor above 65535, would flag nothing
     @pytest.mark.parametrize("field, value", [
-        ("ratio", 4.0), ("ratio", 50.0), ("min_quadrant_mean", 65536),
+        ("roi_ratio", 4.0), ("roi_ratio", 50.0), ("roi_min_mean", 65536),
     ])
     def test_rejects_setting_no_frame_can_meet(self, field, value):
         with pytest.raises(ValueError, match=field):
             RoiConfig(**{field: value})
 
     @pytest.mark.parametrize("config", [
-        RoiConfig(ratio=3.9999999999999996), RoiConfig(min_quadrant_mean=65535),
+        RoiConfig(roi_ratio=3.9999999999999996), RoiConfig(roi_min_mean=65535),
     ])
     def test_largest_accepted_setting_still_flags(self, config):
         # Q0's mean is 65535, 4 times the frame mean
@@ -96,20 +96,20 @@ class TestRoiAnalyze:
         result = roi_analyze(frame)
         assert result.flags[QuadrantId.Q0]
 
-    def test_min_quadrant_mean_guard(self):
+    def test_roi_min_mean_guard(self):
         frame = quadrant_frame(2, 0, 0, 0)
         assert roi_analyze(frame).flags[QuadrantId.Q0]  # mean 2 >= default floor 1
-        assert not roi_analyze(frame, RoiConfig(min_quadrant_mean=5)).any
+        assert not roi_analyze(frame, RoiConfig(roi_min_mean=5)).any
 
     def test_equal_quadrants_never_flag_for_ratio_above_one(self):
         for ratio in (1.001, 1.2, 2.0):
-            result = roi_analyze(uniform_frame(6, 4, 5000), RoiConfig(ratio=ratio))
+            result = roi_analyze(uniform_frame(6, 4, 5000), RoiConfig(roi_ratio=ratio))
             assert not result.any
 
     def test_adjustable_ratio(self):
         frame = quadrant_frame(125, 100, 100, 100)  # frame mean 106.25
         assert not roi_analyze(frame).any  # bar 127.5
-        assert roi_analyze(frame, RoiConfig(ratio=1.10)).any  # bar 116.875
+        assert roi_analyze(frame, RoiConfig(roi_ratio=1.10)).any  # bar 116.875
 
     def test_statelessness(self):
         frame = quadrant_frame(200, 100, 100, 100)

@@ -54,7 +54,7 @@ def formula_pixels(spec, frame_index):
     ys = np.arange(spec.height, dtype=np.float64)[:, None]
     field = np.full(
         (spec.height, spec.width),
-        spec.ambient + frame_index * spec.drift_per_frame,
+        spec.ambient + frame_index * spec.drift,
         dtype=np.float64,
     )
     for blob in spec.blobs:
@@ -69,7 +69,7 @@ def formula_pixels(spec, frame_index):
 
 # 640x480 with the reference scene's people scaled x4, both in view
 VGA_SCENE = SceneSpec(
-    frames=100, width=640, height=480, ambient=60.0, drift_per_frame=0.01,
+    frames=100, width=640, height=480, ambient=60.0, drift=0.01,
     noise_sigma=1.5, seed=7,
     blobs=(
         BlobSpec(900.0, 32.0, ((0, -100.0, 240.0), (99, 500.0, 300.0))),
@@ -130,7 +130,7 @@ class TestRenderFrame:
             assert frame.frame_index == t
 
     def test_drift_applies_per_frame(self):
-        spec = SceneSpec(frames=5, width=8, height=6, ambient=100, drift_per_frame=5)
+        spec = SceneSpec(frames=5, width=8, height=6, ambient=100, drift=5)
         assert np.all(render_frame(spec, 4).pixels == 120)
 
     def test_clamped_to_uint16(self):
@@ -139,7 +139,7 @@ class TestRenderFrame:
             blobs=(BlobSpec(5000.0, 3.0, ((0, 4.0, 3.0),)),),
         )
         assert render_frame(hot, 0).pixels.max() == 65535
-        cold = SceneSpec(frames=3, width=8, height=6, ambient=2, drift_per_frame=-5)
+        cold = SceneSpec(frames=3, width=8, height=6, ambient=2, drift=-5)
         assert render_frame(cold, 2).pixels.min() == 0
 
     def test_gaussian_peak_at_center(self):
@@ -421,7 +421,7 @@ blob=250,5,object,0:130:20
         spec = parse_scene(self.GOOD)
         assert spec.width == 160 and spec.height == 120
         assert spec.frames == 20
-        assert spec.drift_per_frame == 0.02
+        assert spec.drift == 0.02
         assert spec.noise_sigma == 1.5
         assert len(spec.blobs) == 2
         assert spec.blobs[0].is_human and not spec.blobs[1].is_human

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ def step(state, frame_index, quadrants=(), verdict=None):
 def critical_q3(debounce=3, clear=3):
     classes = {q: ZoneClass.IGNORE for q in QuadrantId}
     classes[QuadrantId.Q3] = ZoneClass.CRITICAL
-    return ZoneConfig(zone_class=classes, debounce_frames=debounce, clear_frames=clear)
+    return ZoneConfig(zone_class=classes, debounce=debounce, clear=clear)
 
 
 class TestConfig:
@@ -39,14 +40,14 @@ class TestConfig:
     # a NaN debounce would never mark a quadrant occupied, 2.5 would act as
     # 3 frames and True as 1
     @pytest.mark.parametrize("value", [0, math.nan, math.inf, 2.5, True])
-    @pytest.mark.parametrize("field", ["debounce_frames", "clear_frames"])
+    @pytest.mark.parametrize("field", ["debounce", "clear"])
     def test_rejects_count_that_is_not_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=field):
             ZoneConfig(**{field: value})
 
     def test_keeps_its_own_copy_of_the_zone_classes(self):
         classes = {q: ZoneClass.IGNORE for q in QuadrantId}
-        config = ZoneConfig(classes, debounce_frames=1)
+        config = ZoneConfig(classes, debounce=1)
         # a value the checks would have rejected, put in after they ran
         classes[QuadrantId.Q3] = "critical"
         assert config.zone_class[QuadrantId.Q3] is ZoneClass.IGNORE
@@ -66,7 +67,7 @@ class TestConfig:
     def test_each_state_follows_its_own_config(self):
         stop = critical_q3(debounce=2)
         slow = ZoneConfig({**stop.zone_class, QuadrantId.Q1: ZoneClass.WARNING,
-                           QuadrantId.Q3: ZoneClass.IGNORE}, debounce_frames=2)
+                           QuadrantId.Q3: ZoneClass.IGNORE}, debounce=2)
         states = ZoneState(stop), ZoneState(slow), ZoneState()
         # the same flags for each: Q1 and Q3, occupied from frame 1 on
         for i in range(2):
@@ -93,18 +94,18 @@ class TestParse:
         assert cfg.zone_class[QuadrantId.Q2] is ZoneClass.WARNING
         assert cfg.zone_class[QuadrantId.Q0] is ZoneClass.IGNORE
         assert cfg.zone_class[QuadrantId.Q1] is ZoneClass.IGNORE
-        assert cfg.debounce_frames == 3 and cfg.clear_frames == 3
+        assert cfg.debounce == 3 and cfg.clear == 3
 
     def test_empty_text_gives_defaults(self):
         cfg = parse_zone_config("")
         assert all(c is ZoneClass.IGNORE for c in cfg.zone_class.values())
-        assert cfg.debounce_frames == 3 and cfg.clear_frames == 3
+        assert cfg.debounce == 3 and cfg.clear == 3
         assert cfg == ZoneConfig() == parse_zone_config("Q1=ignore")
 
     def test_case_insensitive_and_comments(self):
         cfg = parse_zone_config("# plan\nq1=WARNING  # left belt\nCLEAR=5\n")
         assert cfg.zone_class[QuadrantId.Q1] is ZoneClass.WARNING
-        assert cfg.clear_frames == 5
+        assert cfg.clear == 5
 
     def test_unknown_quadrant_rejected(self):
         with pytest.raises(ZoneConfigError, match="unknown key"):
@@ -116,8 +117,20 @@ class TestParse:
 
     def test_nonpositive_debounce_rejected(self):
         with pytest.raises(ZoneConfigError,
-                           match="line 1: bad value for debounce: debounce_frames must be an int >= 1"):
+                           match="line 1: bad value for debounce: debounce must be an int >= 1"):
             parse_zone_config("debounce=0")
+
+    def test_readme_quotes_the_count_errors(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = " ".join(readme.split("**Zone config**", 1)[1].split("**", 1)[0].split())
+        quoted = section.split("`debounce=0` reads `", 1)[1].split("`", 1)[0]
+        assert "`clear=0` the same with `clear`" in section
+        for key in ("debounce", "clear"):
+            with pytest.raises(ZoneConfigError) as exc:
+                parse_zone_config(f"{key}=0")
+            # the CLI puts the file's name in front
+            message = f"zones.cfg: {exc.value}".replace("line 1:", "line N:")
+            assert message == quoted.replace("debounce", key)
 
     def test_garbage_line_rejected(self):
         with pytest.raises(ZoneConfigError, match="key=value"):
@@ -176,7 +189,7 @@ class TestStateMachine:
     def test_warning_quadrant_gives_steady_slow(self):
         classes = {q: ZoneClass.IGNORE for q in QuadrantId}
         classes[QuadrantId.Q1] = ZoneClass.WARNING
-        cfg = ZoneConfig(zone_class=classes, debounce_frames=2, clear_frames=2)
+        cfg = ZoneConfig(zone_class=classes, debounce=2, clear=2)
         state = ZoneState(cfg)
         states = []
         for i in range(6):
@@ -251,7 +264,7 @@ class TestStateMachine:
             QuadrantId.Q2: ZoneClass.IGNORE,
             QuadrantId.Q3: ZoneClass.CRITICAL,
         }
-        cfg = ZoneConfig(zone_class=classes, debounce_frames=1, clear_frames=1)
+        cfg = ZoneConfig(zone_class=classes, debounce=1, clear=1)
         state = ZoneState(cfg)
         safety, _ = step(state, 0, (QuadrantId.Q0, QuadrantId.Q3))
         assert safety is SafetyState.STOP
@@ -290,8 +303,8 @@ class TestEventReplay:
     ):
         cfg = ZoneConfig(
             zone_class=dict(zip(QuadrantId, classes)),
-            debounce_frames=debounce,
-            clear_frames=clear,
+            debounce=debounce,
+            clear=clear,
         )
         state = ZoneState(cfg)
         trajectory = []

@@ -181,7 +181,7 @@ def _detector_configs(args) -> tuple[MotionConfig, RoiConfig]:
 def _parse_file(path: str, parse):
     """`parse` of the file's text, with the file named in its errors."""
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is dropped
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

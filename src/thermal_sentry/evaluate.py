@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .frame import CheckedRecord, QuadrantId, replay_dir
+from .frame import CheckedRecord, QuadrantId, check_count, replay_dir
 from .motion import MotionConfig, MotionState, motion_step
 from .roi import RoiConfig, roi_analyze
 
@@ -34,15 +34,14 @@ class Method(Enum):
 
 
 class ConfusionMatrix(CheckedRecord, namedtuple("ConfusionMatrix", "tp fp fn tn")):
+    """Each cell is an int >= 0; a rejected cell is named in the error."""
+
     __slots__ = ()
 
     def __new__(cls, tp: int = 0, fp: int = 0, fn: int = 0, tn: int = 0):
         self = super().__new__(cls, tp, fp, fn, tn)
-        # a count is an int, and not a bool
-        if any(isinstance(c, bool) or not isinstance(c, int) for c in self):
-            raise ValueError("confusion counts must be ints")
-        if min(self) < 0:
-            raise ValueError("confusion counts must be non-negative")
+        for name, cell in zip(self._fields, self):
+            check_count(name, cell, 0)
         return self
 
     @property
@@ -60,16 +59,15 @@ def accuracy(cm: ConfusionMatrix) -> float:
 class GroundTruthLabel(CheckedRecord, namedtuple(
     "GroundTruthLabel", "frame_index human_present occupied_quadrants"
 )):
-    """Manual per-frame truth. `occupied_quadrants` may be empty even when a
-    human is present (unlocalized labels)."""
+    """Manual truth for frame `frame_index`, an int >= 0. `occupied_quadrants`
+    may be empty even when a human is present (unlocalized labels)."""
 
     __slots__ = ()
 
     def __new__(cls, frame_index: int, human_present: bool,
                 occupied_quadrants: frozenset[QuadrantId] = frozenset()):
         self = super().__new__(cls, frame_index, human_present, occupied_quadrants)
-        if isinstance(frame_index, bool) or not isinstance(frame_index, int):
-            raise ValueError("frame_index must be an int")
+        check_count("frame_index", frame_index, 0)
         # any other value would be scored by its truth: 0 or "no" as present
         if not isinstance(human_present, bool):
             raise ValueError("human_present must be a bool")
@@ -137,7 +135,7 @@ def read_labels(path: str | Path) -> list[GroundTruthLabel]:
     error names.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         try:
             rows = list(csv.reader(fh))
         except (csv.Error, UnicodeDecodeError) as exc:  # an oversized field, not UTF-8

@@ -53,28 +53,37 @@ class CheckedRecord:
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
+def check_count(name: str, value: object, low: int | None = None, high: int | None = None,
+                even: bool = False, error: type[ValueError] = ValueError) -> None:
+    """An int, not a bool (True would count as 1), in low..high if given (`high` only with
+    `low`) and even if asked; else `error`: `NAME must be an [even ]int[ >= LOW| in LOW..HIGH]`."""
+    if isinstance(value, bool) or not isinstance(value, int) or even and value % 2 or (
+            low is not None and value < low or high is not None and value > high):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
+        raise error(f"{name} must be {'an even' if even else 'an'} int{bounds}")
+
+
+def check_dimension(name: str, value: object, error: type[ValueError] = ValueError) -> None:
+    """A frame's width or height, so that the 2x2 quadrant split is exact."""
+    check_count(name, value, 2, None, True, error)
+
+
 class ThermalFrame(CheckedRecord, namedtuple("ThermalFrame", "width height pixels frame_index")):
     """One radiometric image.
 
-    `pixels` is a read-only (height, width) uint16 array. Dimensions must be
-    even ints of at least 2 so the quadrant split is exact, and
-    `frame_index` an int >= 0. Frames compare and hash by identity: as
-    tuples they would compare their pixel arrays.
+    `pixels` is a read-only (height, width) uint16 copy of int values in
+    0..MAX_COUNT (a float or bool array is rejected, not truncated), `width`
+    and `height` pass `check_dimension` and `frame_index` is an int >= 0.
+    Frames compare and hash by identity, not by their pixel arrays.
     """
 
     __slots__ = ()
     __ne__, __hash__ = object.__ne__, object.__hash__
 
     def __new__(cls, width: int, height: int, pixels: np.ndarray, frame_index: int = 0):
-        # a count is an int and not a bool: a float width would fail in
-        # numpy's reshape, and a bool frame_index is written as JSON `true`
-        if (isinstance(width, bool) or not isinstance(width, int)
-                or isinstance(height, bool) or not isinstance(height, int)):
-            raise ValueError(f"frame dimensions must be ints, got {width!r}x{height!r}")
-        if isinstance(frame_index, bool) or not isinstance(frame_index, int) or frame_index < 0:
-            raise ValueError("frame_index must be an int >= 0")
-        if width < 2 or height < 2 or width % 2 or height % 2:
-            raise ValueError(f"frame dimensions must be even and >= 2, got {width}x{height}")
+        check_dimension("width", width)
+        check_dimension("height", height)
+        check_count("frame_index", frame_index, 0)
         arr = np.asarray(pixels)
         if arr.ndim == 2 and arr.shape != (height, width):
             raise ValueError(f"pixel grid shape {arr.shape} does not match {height}x{width}")
@@ -83,12 +92,12 @@ class ThermalFrame(CheckedRecord, namedtuple("ThermalFrame", "width height pixel
         # unsigned values of up to 16 bits, in either byte order, are all in
         # range; a dtype test costs far less than a scan of the values
         if not (arr.dtype.kind == "u" and arr.dtype.itemsize <= 2):
-            if arr.size and (int(arr.min()) < 0 or int(arr.max()) > MAX_COUNT):
-                raise ValueError(f"pixel values must be within 0..{MAX_COUNT}")
+            if arr.dtype.kind not in "iu" or int(arr.min()) < 0 or int(arr.max()) > MAX_COUNT:
+                raise ValueError(f"pixel values must be ints in 0..{MAX_COUNT}")
         # the one copy: the frame never shares its pixels with the caller
         arr = arr.astype(np.uint16, order="C").reshape(height, width)
         arr.setflags(write=False)
-        return super().__new__(cls, width, height, arr, frame_index)
+        return tuple.__new__(cls, (width, height, arr, frame_index))  # skips namedtuple's __new__
 
     def __eq__(self, other: object) -> bool:
         return self is other
@@ -149,7 +158,7 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
     file whose leading bytes equal the header of the last file that decoded
     reuses that parse and skips the header checks, because equal bytes parse
     the same and pass the same checks. The header is kept only after its
-    file has decoded, and the checks on the payload run on every file.
+    file has decoded, and the payload and frame checks run on every file.
     """
     global _last_header
     data = _read_file(path)
@@ -160,10 +169,6 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
         magic, width, height, maxval, pos = header = _parse_header(path, data)
         if not 0 < maxval <= MAX_COUNT:
             raise PgmError(f"{path}: unsupported maxval {maxval}")
-        if width < 2 or height < 2 or width % 2 or height % 2:
-            raise PgmError(
-                f"{path}: dimensions must be even and >= 2, got {width}x{height}"
-            )
         if magic == b"P5" and not data[pos : pos + 1].isspace():
             raise PgmError(f"{path}: missing whitespace after maxval")
         last = None  # a new header, kept once its payload has decoded
@@ -193,15 +198,17 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
             raise PgmError(f"{path}: sample out of range") from None
         if len(parsed) != count:
             raise PgmError(f"{path}: expected {count} samples, got {len(parsed)}")
-        if max(parsed) > MAX_COUNT:
-            raise PgmError(f"{path}: sample out of range")
-        values = np.asarray(parsed, dtype=np.uint16)
+        values = np.asarray(parsed)
+    try:  # the frame owns the dimension and pixel value rules
+        frame = ThermalFrame(width, height, values, frame_index)
+    except ValueError as exc:
+        raise PgmError(f"{path}: {exc}") from None
     # a full-range 16-bit maxval admits every stored value
-    if maxval < MAX_COUNT and int(values.max()) > maxval:
-        raise PgmError(f"{path}: sample {int(values.max())} exceeds maxval {maxval}")
+    if maxval < MAX_COUNT and int(frame.pixels.max()) > maxval:
+        raise PgmError(f"{path}: sample {int(frame.pixels.max())} exceeds maxval {maxval}")
     if last is None:
         _last_header = (data[: pos + 1], header)
-    return ThermalFrame(width, height, values, frame_index)
+    return frame
 
 
 def write_pgm(frame: ThermalFrame, path: str | Path) -> None:

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frame import MAX_COUNT, CheckedRecord, ThermalFrame, abs_diff
+from .frame import MAX_COUNT, CheckedRecord, ThermalFrame, abs_diff, check_count
 
 
 class MotionConfig(CheckedRecord, namedtuple(
@@ -46,9 +46,9 @@ class MotionConfig(CheckedRecord, namedtuple(
         would switch the detector off.
     active_fraction: fraction of all pixels that must be active before the
         frame counts as movement (0.05 means "at least 5%").
-    max_hold_frames: optional forced-refresh limit. After this many
-        consecutive movement frames the background is replaced anyway, so a
-        permanently rearranged scene cannot pin the detector positive.
+    max_hold_frames: optional forced-refresh limit, None or an int >= 1:
+        after this many consecutive movement frames the background is
+        replaced anyway, so a rearranged scene cannot pin the detector positive.
     """
 
     __slots__ = ()
@@ -56,14 +56,12 @@ class MotionConfig(CheckedRecord, namedtuple(
     def __new__(cls, active_delta: int = 20, active_fraction: float = 0.05,
                 max_hold_frames: int | None = None):
         self = super().__new__(cls, active_delta, active_fraction, max_hold_frames)
-        # NaN fails every comparison; a count is an int, and no field a bool
-        delta, hold = self.active_delta, self.max_hold_frames
-        if isinstance(delta, bool) or not isinstance(delta, int) or not 1 <= delta <= MAX_COUNT:
-            raise ValueError(f"active_delta must be an int in 1..{MAX_COUNT}")
+        check_count("active_delta", self.active_delta, 1, MAX_COUNT)
+        # NaN fails every comparison, and a bool fraction has no decimal text
         if isinstance(self.active_fraction, bool) or not 0.0 < self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in (0, 1]")
-        if hold is not None and (isinstance(hold, bool) or not isinstance(hold, int) or hold < 1):
-            raise ValueError("max_hold_frames must be an int >= 1 when set")
+        if self.max_hold_frames is not None:
+            check_count("max_hold_frames", self.max_hold_frames, 1)
         return self
 
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frame import MAX_COUNT, CheckedRecord, ThermalFrame
+from .frame import MAX_COUNT, CheckedRecord, ThermalFrame, check_count
 
 
 class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "roi_ratio roi_min_mean")):
@@ -30,12 +30,10 @@ class RoiConfig(CheckedRecord, namedtuple("RoiConfig", "roi_ratio roi_min_mean")
 
     def __new__(cls, roi_ratio: float = 1.20, roi_min_mean: int = 1):
         self = super().__new__(cls, roi_ratio, roi_min_mean)
-        # NaN fails every comparison; a count is an int, and no field a bool
-        ratio, floor = self.roi_ratio, self.roi_min_mean
-        if isinstance(ratio, bool) or not 1.0 <= ratio < 4.0:
+        # NaN fails every comparison, and a bool ratio has no decimal text
+        if isinstance(self.roi_ratio, bool) or not 1.0 <= self.roi_ratio < 4.0:
             raise ValueError("roi_ratio must be a finite number >= 1.0 and < 4.0")
-        if isinstance(floor, bool) or not isinstance(floor, int) or not 0 <= floor <= MAX_COUNT:
-            raise ValueError(f"roi_min_mean must be an int in 0..{MAX_COUNT}")
+        check_count("roi_min_mean", self.roi_min_mean, 0, MAX_COUNT)
         return self
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .evaluate import GroundTruthLabel, write_labels
-from .frame import CheckedRecord, QuadrantId, ThermalFrame, write_pgm
+from .frame import CheckedRecord, QuadrantId, ThermalFrame, check_count, check_dimension, write_pgm
 from .keyvalue import checked, read_settings
 
 _MASK64 = (1 << 64) - 1
@@ -79,6 +79,8 @@ class BlobSpec(CheckedRecord, namedtuple("BlobSpec", "amplitude sigma path is_hu
 class SceneSpec(CheckedRecord, namedtuple(
     "SceneSpec", "frames width height ambient drift noise_sigma seed blobs"
 )):
+    """`frames` is an int >= 1, `width` and `height` pass `check_dimension`, `seed` is an int."""
+
     __slots__ = ()
 
     def __new__(cls, frames: int, width: int = 160, height: int = 120,
@@ -89,14 +91,10 @@ class SceneSpec(CheckedRecord, namedtuple(
             if not math.isfinite(getattr(self, name)):
                 raise SceneError(f"{name} must be finite")
         # counts: 2.5 frames would fail in `generate`, and True render one
-        for name in ("frames", "width", "height", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SceneError(f"{name} must be an int")
-        if self.frames < 1:
-            raise SceneError("scene needs at least one frame")
-        if self.width < 2 or self.height < 2 or self.width % 2 or self.height % 2:
-            raise SceneError("scene dimensions must be even and >= 2")
+        check_count("frames", self.frames, 1, error=SceneError)
+        check_dimension("width", self.width, error=SceneError)
+        check_dimension("height", self.height, error=SceneError)
+        check_count("seed", self.seed, error=SceneError)
         if self.noise_sigma < 0:
             raise SceneError("noise_sigma must be >= 0")
         return self
@@ -144,8 +142,7 @@ def standard_normals(seed: int, frame_index: int, count: int, first: int = 0) ->
     """Draws first .. first+count-1 of the frame's noise substream as
     standard normals (see module docstring). `first` must be even, so the
     draws start on a Box-Muller pair."""
-    if first < 0 or first % 2:
-        raise ValueError(f"first must be even and >= 0, got {first}")
+    check_count("first", first, 0, even=True)
     start = (seed + (frame_index + 1) * _GOLDEN) & _MASK64
     frame_seed = _mix64(np.array([start], dtype=np.uint64))[0]
     pairs = (count + 1) // 2

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum, IntEnum
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
-from .frame import QUADRANTS, CheckedRecord, QuadrantId
+from .frame import QUADRANTS, CheckedRecord, QuadrantId, check_count
 from .keyvalue import checked, read_settings
 
 
@@ -56,12 +56,17 @@ class ZoneEventKind(Enum):
     STATE_CHANGED = "StateChanged"
 
 
-class ZoneEvent(NamedTuple):
-    frame_index: int
-    kind: ZoneEventKind
-    quadrant: QuadrantId | None = None
-    from_state: SafetyState | None = None
-    to_state: SafetyState | None = None
+class ZoneEvent(CheckedRecord, namedtuple(
+    "ZoneEvent", "frame_index kind quadrant from_state to_state"
+)):
+    """A transition at the frame numbered `frame_index`, an int >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, frame_index: int, kind: ZoneEventKind, quadrant: QuadrantId | None = None,
+                from_state: SafetyState | None = None, to_state: SafetyState | None = None):
+        check_count("frame_index", frame_index, 0)
+        return super().__new__(cls, frame_index, kind, quadrant, from_state, to_state)
 
 
 class ZoneConfigError(ValueError):
@@ -87,11 +92,8 @@ class ZoneConfig(CheckedRecord, namedtuple("ZoneConfig", "zone_class debounce cl
         if not all(isinstance(c, ZoneClass) for c in self.zone_class.values()):
             raise ValueError("zone_class values must be ZoneClass members")
         # frame counts: 2.5 would act as 3 frames and True as 1
-        debounce, clear = self.debounce, self.clear
-        if isinstance(debounce, bool) or not isinstance(debounce, int) or debounce < 1:
-            raise ValueError("debounce must be an int >= 1")
-        if isinstance(clear, bool) or not isinstance(clear, int) or clear < 1:
-            raise ValueError("clear must be an int >= 1")
+        check_count("debounce", self.debounce, 1)
+        check_count("clear", self.clear, 1)
         return self
 
 

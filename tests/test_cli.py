@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -563,7 +564,7 @@ class TestEval(OutFlagTests):
 
     @pytest.mark.parametrize(
         "cells, message",
-        [("-1,2,3,4", "confusion counts must be non-negative"),
+        [("-1,2,3,4", "tp must be an int >= 0"),
          ("0,0,0,0", "empty confusion matrix")],
     )
     def test_cells_mode_out_of_range_is_usage_error(self, capsys, cells, message):
@@ -603,6 +604,20 @@ class TestEval(OutFlagTests):
 
 
 class TestSynth:
+    def test_readme_quotes_the_scene_errors(self, tmp_path, capsys, monkeypatch):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        quoted = re.findall(r"`(\S+\.scene: line \d+: bad value for [^`]+)`",
+                            " ".join(readme.split()))
+        # a scene file for each quote: a blob of sigma 0 on line 5, and no frame
+        scenes = {"s.scene": "frames=2\nwidth=4\nheight=4\n# the blob\nblob=100,0,human,0:1:1\n",
+                  "a.scene": "frames=0\n"}
+        assert [message.split(":", 1)[0] for message in quoted] == list(scenes)
+        monkeypatch.chdir(tmp_path)
+        for (name, text), message in zip(scenes.items(), quoted):
+            Path(name).write_text(text, encoding="utf-8")
+            assert run_cli(capsys, "synth", "--scene", name, "--out-dir", "out") == (
+                2, "", f"thermal-sentry: {message}\n")
+
     def test_summary_and_files(self, tmp_path, capsys):
         scene = tmp_path / "s.scene"
         scene.write_text(CROSSING_SCENE)
@@ -917,6 +932,34 @@ class TestTextEncoding:
                          "detect", "--input-dir", str(data), "--zones", str(zones_file))
         assert (run.returncode, run.stderr) == (0, "")
         assert '"event": "StateChanged"' in run.stdout  # the zone file was applied
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # Excel's "CSV UTF-8" export and some editors start a file with one
+        texts = {"crossing.scene": CROSSING_SCENE, "zones.cfg": "Q3=critical\n",
+                 "sentry.conf": "active_delta=10\n"}
+        outputs = []
+        for bom in ("", "\ufeff"):
+            run = tmp_path / ("bom" if bom else "plain")
+            run.mkdir()
+            for name, text in texts.items():
+                (run / name).write_text(bom + text, encoding="utf-8")
+            data, config = run / "crossing", str(run / "sentry.conf")
+            assert run_cli(capsys, "synth", "--scene", str(run / "crossing.scene"),
+                           "--out-dir", str(data))[0] == 0
+            labels = data / "labels.csv"
+            labels.write_text(bom + labels.read_text(encoding="utf-8"), encoding="utf-8")
+            code, detected, err = run_cli(capsys, "--config", config, "detect", "--input-dir",
+                                          str(data), "--zones", str(run / "zones.cfg"))
+            assert (code, err) == (0, "")
+            records = [{k: v for k, v in json.loads(line).items() if k != "elapsed_us"}
+                       for line in detected.splitlines()]
+            code, report, err = run_cli(capsys, "--config", config, "eval", "--input-dir",
+                                        str(data), "--labels", str(labels))
+            assert (code, err) == (0, "")
+            report_lines = [line for line in report.splitlines() if "latency" not in line]
+            outputs.append((records, report_lines))
+        assert outputs[1] == outputs[0]
+        assert any(record.get("event") == "StateChanged" for record in outputs[0][0])
 
     def test_no_command_opens_a_text_file_in_the_locale_encoding(self, tmp_path):
         strict = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning",

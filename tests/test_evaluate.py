@@ -55,9 +55,9 @@ class TestAccuracy:
                                        (1, 2, 3, 4.0), ("1", 0, 0, 0)],
                              ids=["float", "bool", "last_float", "str"])
     def test_non_int_count_rejected(self, cells):
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
             ConfusionMatrix(*cells)
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="must be an int >= 0"):
             ConfusionMatrix(1, 1, 1, 1)._replace(tp=cells[0], tn=cells[3])
 
 

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import math
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thermal_sentry
 from thermal_sentry.evaluate import (
     ConfusionMatrix, EvalReport, GroundTruthLabel, LatencyStats, Method)
 from thermal_sentry.frame import QuadrantId, ThermalFrame, write_pgm
@@ -228,16 +230,15 @@ _GRID = np.zeros((12, 16), dtype=np.uint16)
 # each checked record built from values its checks reject: the keyword
 # arguments, and the error with its message, which callers print
 INVALID = [
-    (ThermalFrame, dict(width=3), ValueError, "frame dimensions must be even and >= 2, got 3x12"),
+    (ThermalFrame, dict(width=3), ValueError, "width must be an even int >= 2"),
     (ThermalFrame, dict(height=2), ValueError, "pixel grid shape (12, 16) does not match 2x16"),
     (ThermalFrame, dict(pixels=np.zeros(3)), ValueError, "expected 192 pixels, got 3"),
-    (ThermalFrame, dict(pixels=_GRID - 1.0), ValueError, "pixel values must be within 0..65535"),
+    (ThermalFrame, dict(pixels=_GRID - 1.0), ValueError, "pixel values must be ints in 0..65535"),
     (ThermalFrame, dict(frame_index=-1), ValueError, "frame_index must be an int >= 0"),
     (MotionConfig, dict(active_delta=0),
      ValueError, "active_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_fraction=0.0), ValueError, "active_fraction must be in (0, 1]"),
-    (MotionConfig, dict(max_hold_frames=0),
-     ValueError, "max_hold_frames must be an int >= 1 when set"),
+    (MotionConfig, dict(max_hold_frames=0), ValueError, "max_hold_frames must be an int >= 1"),
     (RoiConfig, dict(roi_ratio=4.0),
      ValueError, "roi_ratio must be a finite number >= 1.0 and < 4.0"),
     (RoiConfig, dict(roi_min_mean=-1),
@@ -248,21 +249,31 @@ INVALID = [
      ValueError, "zone_class values must be ZoneClass members"),
     (ZoneConfig, dict(debounce=0), ValueError, "debounce must be an int >= 1"),
     (ZoneConfig, dict(clear=0), ValueError, "clear must be an int >= 1"),
-    (ConfusionMatrix, dict(fn=-1), ValueError, "confusion counts must be non-negative"),
+    (ZoneEvent, dict(frame_index=-1), ValueError, "frame_index must be an int >= 0"),
+    (ConfusionMatrix, dict(fn=-1), ValueError, "fn must be an int >= 0"),
+    (GroundTruthLabel, dict(frame_index=-1), ValueError, "frame_index must be an int >= 0"),
     (GroundTruthLabel, dict(human_present=False),
      ValueError, "occupied quadrants require human_present"),
     (BlobSpec, dict(amplitude=0.0), SceneError, "blob amplitude must be positive"),
     (BlobSpec, dict(path=()), SceneError, "blob path needs at least one waypoint"),
-    (SceneSpec, dict(frames=0), SceneError, "scene needs at least one frame"),
-    (SceneSpec, dict(width=3), SceneError, "scene dimensions must be even and >= 2"),
+    (SceneSpec, dict(frames=0), SceneError, "frames must be an int >= 1"),
+    (SceneSpec, dict(width=3), SceneError, "width must be an even int >= 2"),
     (SceneSpec, dict(noise_sigma=math.nan), SceneError, "noise_sigma must be finite"),
 ]
 # values of a type the field does not take: a count takes an int and not a
-# bool, and a bool ratio or fraction has no decimal text for the exact
-# threshold arithmetic. Their ids carry the value.
+# bool, pixels are counts too, and a bool ratio or fraction has no decimal
+# text for the exact threshold arithmetic. Their ids carry the value.
 WRONG_TYPE = [
-    (ThermalFrame, dict(width=4.0), ValueError, "frame dimensions must be ints, got 4.0x12"),
-    (ThermalFrame, dict(height=True), ValueError, "frame dimensions must be ints, got 16xTrue"),
+    (ThermalFrame, dict(width=4.0), ValueError, "width must be an even int >= 2"),
+    (ThermalFrame, dict(height=True), ValueError, "height must be an even int >= 2"),
+    (ThermalFrame, dict(pixels=np.full((12, 16), 2.7)),
+     ValueError, "pixel values must be ints in 0..65535"),
+    (ThermalFrame, dict(pixels=np.full((12, 16), math.nan)),
+     ValueError, "pixel values must be ints in 0..65535"),
+    (ThermalFrame, dict(pixels=np.full((12, 16), math.inf)),
+     ValueError, "pixel values must be ints in 0..65535"),
+    (ThermalFrame, dict(pixels=np.ones((12, 16), dtype=bool)),
+     ValueError, "pixel values must be ints in 0..65535"),
     (ThermalFrame, dict(frame_index=True), ValueError, "frame_index must be an int >= 0"),
     (ThermalFrame, dict(frame_index=1.5), ValueError, "frame_index must be an int >= 0"),
     (ThermalFrame, dict(frame_index="7"), ValueError, "frame_index must be an int >= 0"),
@@ -271,10 +282,8 @@ WRONG_TYPE = [
     (MotionConfig, dict(active_delta=True),
      ValueError, "active_delta must be an int in 1..65535"),
     (MotionConfig, dict(active_fraction=True), ValueError, "active_fraction must be in (0, 1]"),
-    (MotionConfig, dict(max_hold_frames=2.5),
-     ValueError, "max_hold_frames must be an int >= 1 when set"),
-    (MotionConfig, dict(max_hold_frames=True),
-     ValueError, "max_hold_frames must be an int >= 1 when set"),
+    (MotionConfig, dict(max_hold_frames=2.5), ValueError, "max_hold_frames must be an int >= 1"),
+    (MotionConfig, dict(max_hold_frames=True), ValueError, "max_hold_frames must be an int >= 1"),
     (RoiConfig, dict(roi_ratio=True),
      ValueError, "roi_ratio must be a finite number >= 1.0 and < 4.0"),
     (RoiConfig, dict(roi_min_mean=0.5),
@@ -283,20 +292,25 @@ WRONG_TYPE = [
      ValueError, "roi_min_mean must be an int in 0..65535"),
     (ZoneConfig, dict(debounce=2.5), ValueError, "debounce must be an int >= 1"),
     (ZoneConfig, dict(clear=True), ValueError, "clear must be an int >= 1"),
-    (SceneSpec, dict(frames=2.5), SceneError, "frames must be an int"),
-    (SceneSpec, dict(frames=True), SceneError, "frames must be an int"),
-    (SceneSpec, dict(width=4.0), SceneError, "width must be an int"),
-    (SceneSpec, dict(height=True), SceneError, "height must be an int"),
+    (SceneSpec, dict(frames=2.5), SceneError, "frames must be an int >= 1"),
+    (SceneSpec, dict(frames=True), SceneError, "frames must be an int >= 1"),
+    (SceneSpec, dict(width=4.0), SceneError, "width must be an even int >= 2"),
+    (SceneSpec, dict(height=True), SceneError, "height must be an even int >= 2"),
     (SceneSpec, dict(seed=2.5), SceneError, "seed must be an int"),
 ]
 VALID = {record: values for record, _, values, _ in RECORDS}
 VALID[ThermalFrame] = (16, 12, _GRID, 0)
 
 
+def _value_id(value):
+    # an array's repr runs over many lines: its dtype and first value name it
+    return f"{value.dtype}({value.flat[0]})" if isinstance(value, np.ndarray) else repr(value)
+
+
 @pytest.mark.parametrize(
     "record, fields, error, message", INVALID + WRONG_TYPE,
     ids=[f"{r.__name__}-{'-'.join(f)}" for r, f, _, _ in INVALID]
-    + [f"{r.__name__}-{k}={v!r}" for r, f, _, _ in WRONG_TYPE for k, v in f.items()])
+    + [f"{r.__name__}-{k}={_value_id(v)}" for r, f, _, _ in WRONG_TYPE for k, v in f.items()])
 class TestRecordChecks:
     def test_construction_is_checked(self, record, fields, error, message):
         arguments = dict(zip(inspect.signature(record).parameters, VALID[record]))
@@ -306,6 +320,25 @@ class TestRecordChecks:
     def test_replace_is_checked(self, record, fields, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             record(*VALID[record])._replace(**fields)
+
+
+def test_one_function_owns_the_int_check():
+    """`isinstance(..., int)` is written only in `frame.check_count`, so
+    every count the package checks follows its one rule and message."""
+    def owners(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "int" for n in ast.walk(node.args[1]))):
+            yield function
+        for child in ast.iter_child_nodes(node):
+            yield from owners(child, function)
+
+    found = {(path.name, function)
+             for path in Path(thermal_sentry.__file__).parent.glob("*.py")
+             for function in owners(ast.parse(path.read_text(encoding="utf-8")), None)}
+    assert found == {("frame.py", "check_count")}
 
 
 class TestFrameRecord:

@@ -244,7 +244,7 @@ class TestInPlaceMatchesFormula:
 
     @pytest.mark.parametrize("first", [1, -2])
     def test_first_must_start_a_pair(self, first):
-        with pytest.raises(ValueError, match="first must be even"):
+        with pytest.raises(ValueError, match="^first must be an even int >= 0$"):
             standard_normals(7, 3, 4, first=first)
 
     @pytest.mark.parametrize(

@@ -275,6 +275,13 @@ class TestStateMachine:
         with pytest.raises(ValueError):
             zone_update(ZoneState(critical_q3(debounce=1)), 0, (True,) * count, True)
 
+    @pytest.mark.parametrize("frame_index", [True, 2.5, "x", -1])
+    def test_event_frame_number_must_be_a_count(self, frame_index):
+        # an event carries the frame number into NDJSON: True would be
+        # written as `true` and "x" bare, which is not JSON
+        with pytest.raises(ValueError, match="^frame_index must be an int >= 0$"):
+            step(ZoneState(critical_q3(debounce=1)), frame_index, (QuadrantId.Q3,))
+
     def test_ignored_quadrant_still_emits_occupancy_events(self):
         cfg = critical_q3(debounce=1)
         state = ZoneState(cfg)

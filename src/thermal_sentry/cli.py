@@ -44,21 +44,9 @@ def _file(text: str) -> str:
     return text
 
 
-# A detection record as json.dumps writes it, with the fields in the order
-# the module docstring lists them; only the values vary from frame to frame.
-_RECORD = (
-    '{{"frame": {}, "verdict": {}, "movement": {}, "active_count": {}, '
-    '"quadrant_means": {{"Q0": {}, "Q1": {}, "Q2": {}, "Q3": {}}}, '
-    '"flags": {{"Q0": {}, "Q1": {}, "Q2": {}, "Q3": {}}}, '
-    '"state": "{}", "elapsed_us": {}}}\n'
-).format
 _LITERAL = {True: "true", False: "false"}
 # each state's label, read once: `.label` costs two Enum property calls
 _LABEL = {state: state.label for state in SafetyState}
-# A zone event the same way; every name it holds is plain ASCII.
-_EVENT = (
-    '{{"frame": {}, "event": "{}", "quadrant": {}, "from_state": {}, "to_state": {}}}\n'
-).format
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,30 +188,34 @@ def _decimal3(x: float) -> str:
 
 def record_line(detection: Detection, state: SafetyState) -> str:
     """One detection record as an NDJSON line: the bytes of `json.dumps` of
-    the record, with means and elapsed_us rounded to 3 decimals."""
+    the record, with its fields in the order the module docstring lists them
+    and means and elapsed_us rounded to 3 decimals. One f-string builds it."""
     motion, roi = detection.motion, detection.roi
     m0, m1, m2, m3 = roi.quadrant_means
     f0, f1, f2, f3 = roi.flags
-    return _RECORD(
-        detection.frame_index, _LITERAL[detection.verdict], _LITERAL[motion.movement],
-        motion.active_count, _decimal3(m0), _decimal3(m1), _decimal3(m2), _decimal3(m3),
-        _LITERAL[f0], _LITERAL[f1], _LITERAL[f2], _LITERAL[f3],
-        _LABEL[state], _decimal3(detection.elapsed_us),
+    return (
+        f'{{"frame": {detection.frame_index}, "verdict": {_LITERAL[detection.verdict]}, '
+        f'"movement": {_LITERAL[motion.movement]}, "active_count": {motion.active_count}, '
+        f'"quadrant_means": {{"Q0": {_decimal3(m0)}, "Q1": {_decimal3(m1)}, '
+        f'"Q2": {_decimal3(m2)}, "Q3": {_decimal3(m3)}}}, '
+        f'"flags": {{"Q0": {_LITERAL[f0]}, "Q1": {_LITERAL[f1]}, '
+        f'"Q2": {_LITERAL[f2]}, "Q3": {_LITERAL[f3]}}}, '
+        f'"state": "{_LABEL[state]}", "elapsed_us": {_decimal3(detection.elapsed_us)}}}\n'
     )
 
 
 def event_line(event: ZoneEvent) -> str:
     """One zone event as an NDJSON line: the bytes of `json.dumps` of the
-    record. SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums, so each
-    is compared against None explicitly. `_value_` and `_name_` are what the
+    record, built by one f-string; every name it holds is plain ASCII.
+    SafetyState.RUN and QuadrantId.Q0 are falsy IntEnums, so each is
+    compared against None explicitly. `_value_` and `_name_` are what the
     Enum properties `value` and `name` return, read without their calls."""
     quadrant, before, after = event.quadrant, event.from_state, event.to_state
-    return _EVENT(
-        event.frame_index, event.kind._value_,
-        "null" if quadrant is None else f'"{quadrant._name_}"',
-        "null" if before is None else f'"{_LABEL[before]}"',
-        "null" if after is None else f'"{_LABEL[after]}"',
-    )
+    quadrant = "null" if quadrant is None else f'"{quadrant._name_}"'
+    before = "null" if before is None else f'"{_LABEL[before]}"'
+    after = "null" if after is None else f'"{_LABEL[after]}"'
+    return (f'{{"frame": {event.frame_index}, "event": "{event.kind._value_}", '
+            f'"quadrant": {quadrant}, "from_state": {before}, "to_state": {after}}}\n')
 
 
 @contextmanager

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import re
+import stat
 from collections import namedtuple
 from enum import IntEnum
 from pathlib import Path
@@ -56,9 +57,11 @@ class CheckedRecord:
 def check_count(name: str, value: object, low: int | None = None, high: int | None = None,
                 even: bool = False, error: type[ValueError] = ValueError) -> None:
     """An int, not a bool (True would count as 1), in low..high if given (`high` only with
-    `low`) and even if asked; else `error`: `NAME must be an [even ]int[ >= LOW| in LOW..HIGH]`."""
-    if isinstance(value, bool) or not isinstance(value, int) or even and value % 2 or (
-            low is not None and value < low or high is not None and value > high):
+    `low`) and even if asked; else `error`: `NAME must be an [even ]int[ >= LOW| in LOW..HIGH]`.
+    A plain int, the common case, skips both `isinstance` calls."""
+    if (type(value) is not int and (isinstance(value, bool) or not isinstance(value, int))
+            or even and value % 2
+            or low is not None and value < low or high is not None and value > high):
         bounds = "" if low is None else f" >= {low}" if high is None else f" in {low}..{high}"
         raise error(f"{name} must be {'an even' if even else 'an'} int{bounds}")
 
@@ -121,19 +124,25 @@ def abs_diff(a: ThermalFrame, b: ThermalFrame) -> np.ndarray:
 _last_header: tuple[bytes, tuple[bytes, int, int, int, int]] | None = None
 # how much each read asks for once a file has turned out longer than fstat said
 _READ_CHUNK = 1 << 16
+# a 16-bit P5 payload's dtype, built once rather than parsed for every frame
+_BIG_ENDIAN_U2 = np.dtype(">u2")
 
 
 def _read_file(path: str | Path) -> bytes:
     """The whole content of a file, read with raw `os` calls, which cost
     about half of what a Python file object does. The first read asks for
-    one byte more than fstat reports and the reads go on to the end of the
-    file, so a file that grows, or a pipe, is still read whole."""
+    one byte more than fstat reports. A regular file that it reads short,
+    which is every regular file that did not grow, ends there: open, fstat,
+    read and close. Anything else, a pipe or a file longer than fstat said,
+    is read on until a read comes back empty."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = os.read(fd, os.fstat(fd).st_size + 1)
-        # a short read ends a regular file but not a pipe, so one more read
-        # must come back empty; asking it for a single byte allocates no
-        # large buffer
+        info = os.fstat(fd)
+        data = os.read(fd, info.st_size + 1)
+        if stat.S_ISREG(info.st_mode) and len(data) <= info.st_size:
+            return data
+        # a short read does not end a pipe, so one more read must come back
+        # empty; asking it for a single byte allocates no large buffer
         tail = os.read(fd, 1)
         if tail:
             chunks = [data, tail]
@@ -187,7 +196,7 @@ def load_pgm(path: str | Path, *, frame_index: int = 0) -> ThermalFrame:
         # faults per frame. A fresh bytes object's data is aligned, so the
         # payload is sliced off. It is left unconverted: ThermalFrame's
         # conversion to uint16 is the copy the frame keeps.
-        values = np.frombuffer(data[pos + 1 :], dtype=">u2" if itemsize == 2 else np.uint8)
+        values = np.frombuffer(data[pos + 1 :], dtype=_BIG_ENDIAN_U2 if itemsize == 2 else np.uint8)
     else:
         text = re.sub(rb"#[^\n]*", b"", data[pos:])
         if not _P2_SAMPLES.fullmatch(text):

@@ -41,4 +41,5 @@ def hybrid_step(
     motion = motion_step(motion_state, frame)
     verdict = roi.any or motion.movement
     elapsed_us = (time.perf_counter_ns() - start) / 1000.0
-    return Detection(frame.frame_index, verdict, elapsed_us, motion, roi)
+    # tuple.__new__ skips namedtuple's generated __new__, a Python call
+    return tuple.__new__(Detection, (frame.frame_index, verdict, elapsed_us, motion, roi))

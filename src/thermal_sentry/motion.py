@@ -162,4 +162,5 @@ def motion_step(state: MotionState, frame: ThermalFrame) -> MotionResult:
         state.frames_since_update = 0
         state.held = None
 
-    return MotionResult(movement, active, required, not movement or forced, forced)
+    # tuple.__new__ skips namedtuple's generated __new__, a Python call
+    return tuple.__new__(MotionResult, (movement, active, required, not movement or forced, forced))

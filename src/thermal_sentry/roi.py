@@ -91,9 +91,10 @@ def roi_analyze(frame: ThermalFrame, config: RoiConfig = RoiConfig()) -> RoiResu
         scale * s2 > bar and s2 >= floor,
         scale * s3 > bar and s3 >= floor,
     )
-    return RoiResult(
+    # tuple.__new__ skips namedtuple's generated __new__, a Python call
+    return tuple.__new__(RoiResult, (
         total / (4 * quad_count),
         (s0 / quad_count, s1 / quad_count, s2 / quad_count, s3 / quad_count),
         flags,
         True in flags,
-    )
+    ))

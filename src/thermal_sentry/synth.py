@@ -71,6 +71,8 @@ class BlobSpec(CheckedRecord, namedtuple("BlobSpec", "amplitude sigma path is_hu
         if not self.path:
             raise SceneError("blob path needs at least one waypoint")
         times = [t for t, _, _ in self.path]
+        for t in times:  # a path may start before frame 0
+            check_count("waypoint frame index", t, error=SceneError)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise SceneError("waypoint frame indices must strictly increase")
         return self

@@ -128,8 +128,10 @@ def zone_update(state: ZoneState, frame_index: int, flags: tuple[bool, ...],
     its presence verdict; a positive verdict with no flag set is movement
     that no quadrant localizes. Returns the state in force after this frame
     plus the events emitted for it (quadrant transitions first, then the
-    state change, if any).
+    state change, if any). A `frame_index` that is not an int >= 0 raises
+    before `state` is touched.
     """
+    check_count("frame_index", frame_index, 0)
     config = state._config
     events: list[ZoneEvent] = []
     pending, occupied = state.pending, state.occupied

@@ -1325,7 +1325,8 @@ class TestPerFrameCalls:
     """The detect loop's per-frame work stays in C: no frame, with or
     without zone events, calls a Python function of the enum module (an
     Enum property or hash) or of numpy's `_methods` (the wrapper behind
-    `ndarray.sum`). Counted calls, not timings, so the check holds on a
+    `ndarray.sum`), and no frame without zone events calls a namedtuple's
+    generated `__new__`. Counted calls, not timings, so the check holds on a
     loaded machine. The scene holds Method A's background, so the frames
     checked are mostly compared through its floor."""
 
@@ -1384,3 +1385,10 @@ class TestPerFrameCalls:
         offending = {index: names for index, names in offending.items() if names}
         assert offending == {}, (
             f"{len(offending)} of {len(frames)} frames: {offending}")
+        # namedtuple compiles its `__new__` from a string, so the call's code
+        # file is "<string>". The per-frame results skip it; a zone event,
+        # which checks its fields, runs it, so event frames show the call.
+        generated = [["<string>" in {file for file, _ in seen}, bool(events)]
+                     for seen, events, _ in per_frame]
+        assert [True, False] not in generated
+        assert [True, True] in generated

@@ -1,5 +1,7 @@
 import os
 import struct
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +284,73 @@ class TestPgm:
         assert frame.pixels.dtype == np.uint16
         assert frame.pixels.shape == (frame.height, frame.width)
         assert not frame.pixels.flags.writeable
+
+
+class TestReadFile:
+    """`load_pgm` reads a regular file in one `os.read`, and reads anything
+    else, a pipe or a file longer than fstat says, on to its end."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The byte counts `os.read` is asked for."""
+        asked = []
+        read = os.read
+
+        def counted(fd, n):
+            asked.append(n)
+            return read(fd, n)
+
+        monkeypatch.setattr(os, "read", counted)
+        return asked
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        """A 160x120 frame written as a regular file, and its bytes."""
+        rng = np.random.default_rng(3)
+        frame = ThermalFrame(160, 120, rng.integers(0, 65536, (120, 160), dtype=np.uint16))
+        path = tmp_path / "frame.pgm"
+        write_pgm(frame, path)
+        return frame, path
+
+    def test_a_regular_file_takes_one_read(self, reads, written):
+        frame, path = written
+        assert np.array_equal(load_pgm(path).pixels, frame.pixels)
+        assert reads == [path.stat().st_size + 1]
+
+    def test_a_file_longer_than_fstat_says_is_read_whole(self, monkeypatch, reads, written):
+        # as if the file grew by 100 bytes between fstat and read
+        frame, path = written
+        fstat = os.fstat
+
+        def stale(fd):
+            info = fstat(fd)
+            return os.stat_result(info[:6] + (info.st_size - 100,) + info[7:10])
+
+        monkeypatch.setattr(os, "fstat", stale)
+        assert np.array_equal(load_pgm(path).pixels, frame.pixels)
+        assert len(reads) > 2
+
+    def test_a_fifo_written_in_pieces_reads_whole(self, tmp_path, reads, written):
+        # fstat gives a FIFO size 0 and each read returns what the writer
+        # has written so far, so only an empty read ends it
+        _, path = written
+        data = path.read_bytes()
+        fifo = tmp_path / "fifo.pgm"
+        os.mkfifo(fifo)
+
+        def writer():
+            with open(fifo, "wb", buffering=0) as out:
+                for piece in (data[:5], data[5:20000], data[20000:]):
+                    out.write(piece)
+                    time.sleep(0.05)
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            loaded = load_pgm(fifo)
+        finally:
+            thread.join(timeout=10)
+        assert np.array_equal(loaded.pixels, load_pgm(path).pixels)
 
 
 class TestAbsDiff:

@@ -297,6 +297,10 @@ WRONG_TYPE = [
     (SceneSpec, dict(width=4.0), SceneError, "width must be an even int >= 2"),
     (SceneSpec, dict(height=True), SceneError, "height must be an even int >= 2"),
     (SceneSpec, dict(seed=2.5), SceneError, "seed must be an int"),
+    (BlobSpec, dict(path=((True, 1.0, 1.0), (2, 3.0, 3.0))),
+     SceneError, "waypoint frame index must be an int"),
+    (BlobSpec, dict(path=((0, 1.0, 1.0), (2.5, 3.0, 3.0))),
+     SceneError, "waypoint frame index must be an int"),
 ]
 VALID = {record: values for record, _, values, _ in RECORDS}
 VALID[ThermalFrame] = (16, 12, _GRID, 0)

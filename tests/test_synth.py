@@ -90,6 +90,16 @@ class TestSpecs:
         with pytest.raises(SceneError, match="increase"):
             BlobSpec(10.0, 1.0, ((5, 0.0, 0.0), (5, 1.0, 1.0)))
 
+    @pytest.mark.parametrize("t", [True, 2.5, "3", None])
+    def test_waypoint_frame_index_must_be_an_int(self, t):
+        # 2.5 would interpolate and True would act as frame 1
+        with pytest.raises(SceneError, match="^waypoint frame index must be an int$"):
+            BlobSpec(100.0, 2.0, ((t, 1.0, 1.0), (5, 3.0, 3.0)))
+
+    def test_path_may_start_before_frame_0(self):
+        blob = BlobSpec(100.0, 2.0, ((-5, 0.0, 0.0), (5, 10.0, 0.0)))
+        assert blob_center(blob, 0) == (5.0, 0.0)
+
     def test_scene_validation(self):
         with pytest.raises(SceneError):
             SceneSpec(frames=0)

@@ -282,6 +282,23 @@ class TestStateMachine:
         with pytest.raises(ValueError, match="^frame_index must be an int >= 0$"):
             step(ZoneState(critical_q3(debounce=1)), frame_index, (QuadrantId.Q3,))
 
+    def test_rejected_frame_number_leaves_the_state_as_it_was(self):
+        # every quadrant critical and debounce 1: were Q3 marked occupied
+        # before the frame number raised, the next frame would see no
+        # transition and hold Run with a person in a critical quadrant
+        state = ZoneState(ZoneConfig({q: ZoneClass.CRITICAL for q in QuadrantId}, debounce=1))
+        fields = ("state", "pending", "occupied", "unlocalized_hold", "demand")
+        before = {name: repr(getattr(state, name)) for name in fields}
+        with pytest.raises(ValueError, match="^frame_index must be an int >= 0$"):
+            step(state, -1, (QuadrantId.Q3,))
+        assert {name: repr(getattr(state, name)) for name in fields} == before
+        safety, events = step(state, 0, (QuadrantId.Q3,))
+        assert safety is SafetyState.STOP
+        assert [(e.kind, e.quadrant, e.to_state) for e in events] == [
+            (ZoneEventKind.ENTERED, QuadrantId.Q3, None),
+            (ZoneEventKind.STATE_CHANGED, None, SafetyState.STOP),
+        ]
+
     def test_ignored_quadrant_still_emits_occupancy_events(self):
         cfg = critical_q3(debounce=1)
         state = ZoneState(cfg)
